@@ -4,9 +4,10 @@ Memorizes four source/summary pairs, then generates each summary back and
 shows the copy gate handling an out-of-vocabulary word.
 """
 
-from pointer_gpt.decoder import DecodeConfig, greedy_decode, resolve_summary
+from pointer_gpt.decoder import DecodeConfig, greedy_decode
 from pointer_gpt.model import ModelConfig, init_params
-from pointer_gpt.tokenizer import build_vocab, encode_example, encode_source
+from pointer_gpt.tokenizer import (build_vocab, decode, encode_example,
+                                  encode_source)
 from pointer_gpt.trainer import TrainConfig, train
 
 PAIRS = [
@@ -40,7 +41,7 @@ for src, tgt in PAIRS:
     out = greedy_decode(params, ids, ext_ids, len(oov), config,
                         DecodeConfig(max_summary_len=16))
     print("  source:    %s" % src)
-    print("  generated: %s" % resolve_summary(out, vocab, oov))
+    print("  generated: %s" % decode(out, vocab, oov))
     print("  reference: %s\n" % tgt)
 
 # a word the model has never seen ("xyzzopril") gets an extended id; if the
@@ -50,4 +51,4 @@ ids, ext_ids, oov = encode_source(novel, vocab)
 print("out-of-vocabulary words in source:", oov)
 out = greedy_decode(params, ids, ext_ids, len(oov), config,
                     DecodeConfig(max_summary_len=16))
-print("generated: %s" % resolve_summary(out, vocab, oov))
+print("generated: %s" % decode(out, vocab, oov))

@@ -16,7 +16,7 @@ import tempfile
 
 import numpy as np
 
-from .model import ModelConfig, ModelParams
+from .model import ModelConfig
 from .tensor import Tensor
 
 MAGIC = b"PGPT"
@@ -60,7 +60,7 @@ def save_checkpoint(params, config, path):
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, ModelConfig); never partially loads."""
+    """Returns ({name: Tensor}, ModelConfig); never partially loads."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -95,4 +95,4 @@ def load_checkpoint(path):
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
         tensors[entry["name"]] = Tensor(arr.astype(np.float32),
                                         requires_grad=True)
-    return ModelParams(tensors), config
+    return tensors, config

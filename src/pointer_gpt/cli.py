@@ -3,19 +3,30 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DatasetError, load_dataset, split_by_index
-from .decoder import DecodeConfig, beam_decode, greedy_decode, resolve_summary
+from .decoder import DecodeConfig, beam_decode, greedy_decode
 from .model import ModelConfig, init_params
 from .rouge import format_report_table, rouge_report
-from .tokenizer import Vocabulary, build_vocab, encode_example, encode_source
+from .tokenizer import (Vocabulary, build_vocab, decode, encode_example,
+                        encode_source)
 from .trainer import TrainConfig, TrainingError, train
 
-DEFAULT_MAX_VOCAB = 4000
+# section: ({key: default, whose type a given value must have},
+#           keys the command line sets itself)
+CONFIG_SECTIONS = {
+    "model": ({f.name: f.default for f in dataclasses.fields(ModelConfig)},
+              ("vocab_size", "seed", "baseline")),
+    "train": ({f.name: f.default for f in dataclasses.fields(TrainConfig)},
+              ("seed",)),
+    "vocab": ({"max_size": 4000, "min_freq": 1}, ()),
+    "decode": ({"beam_width": 1, "max_summary_len": 32}, ()),
+}
 
 
 class CliError(RuntimeError):
@@ -45,15 +56,34 @@ def _load_config_file(path):
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
+    for name, (defaults, cli_keys) in CONFIG_SECTIONS.items():
+        section = cfg.get(name, {})
+        if not isinstance(section, dict):
+            raise CliError("config section %r must be a JSON object" % name)
+        for key, value in section.items():
+            if key in cli_keys:
+                raise CliError("config section %r: %r is set by the command "
+                               "line, not the config file" % (name, key))
+            if key not in defaults:
+                raise CliError("config section %r: unknown key %r"
+                               % (name, key))
+            want = type(defaults[key])
+            # bool is an int subclass; a JSON integer is a valid float
+            allowed = (int, float) if want is float else want
+            if (not isinstance(value, allowed)
+                    or isinstance(value, bool) != (want is bool)):
+                raise CliError("config section %r: %r must be a %s, got %r"
+                               % (name, key, want.__name__, value))
     return cfg
+
+
+def _config_with_defaults(cfg, name):
+    return {**CONFIG_SECTIONS[name][0], **cfg.get(name, {})}
 
 
 def _prepare_corpus(records, cfg, seed, baseline):
     texts = [r.source for r in records] + [r.summary for r in records]
-    vocab_cfg = cfg.get("vocab", {})
-    vocab = build_vocab(texts,
-                        max_size=vocab_cfg.get("max_size", DEFAULT_MAX_VOCAB),
-                        min_freq=vocab_cfg.get("min_freq", 1))
+    vocab = build_vocab(texts, **_config_with_defaults(cfg, "vocab"))
     model_cfg = ModelConfig(vocab_size=vocab.size, seed=seed,
                             baseline=baseline, **cfg.get("model", {}))
     examples = []
@@ -103,7 +133,7 @@ def _decode_text(params, model_cfg, vocab, text, beam, max_len):
         hyp = beam_decode(params, source_ids, source_ext_ids, len(oov),
                           model_cfg, dcfg)
         ids = [i for i in hyp.ids]
-    return resolve_summary(ids, vocab, oov)
+    return decode(ids, vocab, oov)
 
 
 def _load_model(args):
@@ -172,10 +202,10 @@ def cmd_compare(args):
         raise CliError("dataset %s is empty" % args.data)
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
-    decode_cfg = cfg.get("decode", {})
+    decode_cfg = _config_with_defaults(cfg, "decode")
     rows = run_compare(records, cfg, seed,
-                       beam=decode_cfg.get("beam_width", 1),
-                       max_len=decode_cfg.get("max_summary_len", 32))
+                       beam=decode_cfg["beam_width"],
+                       max_len=decode_cfg["max_summary_len"])
     print(format_report_table(rows))
     return 0
 

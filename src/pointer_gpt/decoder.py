@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import pointer_step, forward_hidden
-from .tokenizer import EOS, SEP, UNK, decode
+from .tokenizer import EOS, SEP, UNK
 
 
 @dataclass
@@ -127,8 +127,3 @@ def beam_decode(params, source_ids, source_ext_ids, oov_count, config, dcfg):
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
     return beam_search(step_fn, limit, dcfg.beam_width,
                        dcfg.length_norm_alpha)
-
-
-def resolve_summary(ids, vocab, oov):
-    """Extended ids to text; copied ids surface the original source words."""
-    return decode(list(ids), vocab, oov)

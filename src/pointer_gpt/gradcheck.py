@@ -5,20 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from .optim import reset_grads
-from .tensor import ContractError, Tape, backward
+from .tensor import ContractError, Tape, Tensor, backward
 
 
 def gradcheck(f, tensors, h=1e-5):
     """Compare analytic grads of scalar-valued f against central differences.
 
-    `tensors` is one Tensor or a sequence of Tensors passed to f positionally.
+    `tensors` is one Tensor or an iterable of Tensors passed to f positionally.
     Use float64 tensors; float32 finite differences are too noisy for tight
     tolerances. Returns the max relative error
     |a - n| / max(1e-8, |a| + |n|) over all elements of all tensors.
     """
-    if not isinstance(tensors, (list, tuple)):
-        tensors = [tensors]
-    tensors = list(tensors)
+    tensors = [tensors] if isinstance(tensors, Tensor) else list(tensors)
 
     reset_grads(tensors)
     with Tape() as tape:

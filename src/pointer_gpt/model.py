@@ -49,27 +49,11 @@ class ModelConfig:
         return cls(**d)
 
 
-class ModelParams:
-    """Named parameter tensors in a fixed order (checkpoint manifest order)."""
-
-    def __init__(self, tensors):
-        self.tensors = dict(tensors)
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-    def names(self):
-        return list(self.tensors)
-
-    def values(self):
-        return list(self.tensors.values())
-
-    def items(self):
-        return self.tensors.items()
-
-
 def init_params(config, dtype=np.float32):
-    """Seeded init: weights ~ N(0, 0.02), biases zero, layer-norm gains one."""
+    """Seeded params as {name: Tensor} in checkpoint manifest order.
+
+    Weights ~ N(0, 0.02), biases zero, layer-norm gains one.
+    """
     rng = np.random.default_rng(config.seed)
     d, v = config.d_model, config.vocab_size
 
@@ -106,7 +90,7 @@ def init_params(config, dtype=np.float32):
     t["gate.w_h"] = w(d, 1)
     t["gate.w_c"] = w(d, 1)
     t["gate.b"] = zeros(1, 1)
-    return ModelParams(t)
+    return t
 
 
 def _causal_mask(t_len, dtype):
@@ -115,29 +99,23 @@ def _causal_mask(t_len, dtype):
 
 
 def _attention(params, prefix, x, config, mask):
-    d = config.d_model
+    """Causal self-attention with every head in one [H, T, d_head] op."""
     n_heads = config.n_heads
-    d_head = d // n_heads
-    scale = 1.0 / math.sqrt(d_head)
+    scale = 1.0 / math.sqrt(config.d_model // n_heads)
     q = ops.add(ops.matmul(x, params[prefix + "wq"]), params[prefix + "bq"])
     k = ops.add(ops.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
     v = ops.add(ops.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
-    heads = []
-    for h in range(n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh = ops.slice_cols(q, lo, hi)
-        kh = ops.slice_cols(k, lo, hi)
-        vh = ops.slice_cols(v, lo, hi)
-        scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
-        attn = ops.softmax_rows(ops.add_const(scores, mask))
-        heads.append(ops.matmul(attn, vh))
-    merged = heads[0] if n_heads == 1 else ops.concat_cols(heads)
+    qh, kh, vh = (ops.split_heads(t, n_heads) for t in (q, k, v))
+    scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
+    attn = ops.softmax_rows(ops.add_const(scores, mask))
+    merged = ops.merge_heads(ops.matmul(attn, vh))
     return ops.add(ops.matmul(merged, params[prefix + "wo"]),
                    params[prefix + "bo"])
 
 
-def forward_hidden(params, input_ids, config, train=False, rng=None):
-    """Hidden states [T x d_model]; hidden[t] depends only on ids[0..t]."""
+def forward_hidden(params, input_ids, config, rng=None):
+    """Hidden states [T x d_model]; hidden[t] depends only on ids[0..t].
+    Dropout at ``config.dropout_rate`` runs only when ``rng`` is given."""
     ids = np.asarray(input_ids, dtype=np.int64)
     t_len = ids.shape[0]
     if t_len == 0:
@@ -149,9 +127,7 @@ def forward_hidden(params, input_ids, config, train=False, rng=None):
         raise ValueError("token id out of range [0, %d)" % config.vocab_size)
 
     dtype = params["tok_emb"].dtype
-    drop = config.dropout_rate if train else 0.0
-    if drop > 0.0 and rng is None:
-        rng = np.random.default_rng(config.seed)
+    drop = config.dropout_rate if rng is not None else 0.0
 
     x = ops.add(ops.take_rows(params["tok_emb"], ids),
                 ops.take_rows(params["pos_emb"], np.arange(t_len)))
@@ -244,8 +220,9 @@ def teacher_forced_ids(example, vocab_size):
     return list(example.source_ids) + [SEP] + feed
 
 
-def sequence_loss(params, example, config, train=False, rng=None):
-    """Mean NLL of the mixed distribution over all summary prediction steps."""
+def sequence_loss(params, example, config, rng=None):
+    """Mean NLL of the mixed distribution over all summary prediction steps;
+    dropout runs only when ``rng`` is given."""
     s = len(example.source_ids)
     n = len(example.target_ext_ids)
     if n < 1:
@@ -254,7 +231,7 @@ def sequence_loss(params, example, config, train=False, rng=None):
     if len(input_ids) > config.max_seq_len:
         raise ValueError("encoded example length %d exceeds max_seq_len %d"
                          % (len(input_ids), config.max_seq_len))
-    hidden = forward_hidden(params, input_ids, config, train=train, rng=rng)
+    hidden = forward_hidden(params, input_ids, config, rng=rng)
     step_rows = np.arange(s, s + n)
     _, _, mixed = _mixed_distribution(
         params, hidden, step_rows, s, example.source_ext_ids,

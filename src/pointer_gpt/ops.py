@@ -67,25 +67,28 @@ def add_const(x, const):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands, got %s and %s"
-                         % (a.data.shape, b.data.shape))
-    if a.data.shape[1] != b.data.shape[0]:
+    """Product over the last two axes; leading (batch) axes must match."""
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2]:
+        raise ShapeError("matmul expects operands of rank >= 2 with equal "
+                         "batch axes, got %s and %s" % (ad.shape, bd.shape))
+    if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError("matmul inner dimensions differ: %s vs %s"
-                         % (a.data.shape, b.data.shape))
-    out = a.data @ b.data
+                         % (ad.shape, bd.shape))
+    out = ad @ bd
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return make_output(out, (a, b), bwd)
 
 
 def transpose(x):
-    out = x.data.T
+    """Swap the last two axes."""
+    out = x.data.swapaxes(-1, -2)
 
     def bwd(g):
-        return (g.T,)
+        return (g.swapaxes(-1, -2),)
 
     return make_output(out, (x,), bwd)
 
@@ -169,30 +172,26 @@ def take_rows(table, indices):
     return make_output(out, (table,), bwd)
 
 
-def slice_cols(x, start, stop):
-    out = x.data[:, start:stop]
+def split_heads(x, n_heads):
+    """[T, d] -> [H, T, d / H]; head h holds columns [h*d/H, (h+1)*d/H)."""
+    t_len, d = x.data.shape
+    out = x.data.reshape(t_len, n_heads, d // n_heads).transpose(1, 0, 2)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
+        return (g.transpose(1, 0, 2).reshape(t_len, d),)
 
     return make_output(out, (x,), bwd)
 
 
-def concat_cols(parts):
-    widths = [p.data.shape[1] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=1)
+def merge_heads(x):
+    """[H, T, d_head] -> [T, H * d_head]; the inverse of split_heads."""
+    n_heads, t_len, d_head = x.data.shape
+    out = x.data.transpose(1, 0, 2).reshape(t_len, n_heads * d_head)
 
     def bwd(g):
-        grads = []
-        ofs = 0
-        for w in widths:
-            grads.append(g[:, ofs:ofs + w])
-            ofs += w
-        return tuple(grads)
+        return (g.reshape(t_len, n_heads, d_head).transpose(1, 0, 2),)
 
-    return make_output(out, tuple(parts), bwd)
+    return make_output(out, (x,), bwd)
 
 
 def pad_cols(x, extra):

@@ -15,7 +15,6 @@ __all__ = [
     "Tape",
     "backward",
     "active_tape",
-    "set_finite_checks",
     "ContractError",
     "ShapeError",
 ]
@@ -27,15 +26,6 @@ class ContractError(ValueError):
 
 class ShapeError(ContractError):
     """Operand shapes are incompatible."""
-
-
-_FINITE_CHECKS = False
-
-
-def set_finite_checks(enabled):
-    """Globally toggle per-op NaN/Inf checks (slow; used in tests)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -105,14 +95,8 @@ class Tape:
         return False
 
 
-def _check_finite(arr):
-    if _FINITE_CHECKS and not np.isfinite(arr).all():
-        raise FloatingPointError("non-finite values produced by tensor op")
-
-
 def make_output(out_data, inputs, backward_fn):
     """Wrap an op result, recording it on the active tape when grads flow."""
-    _check_finite(out_data)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     tape = active_tape()

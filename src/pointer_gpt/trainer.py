@@ -65,7 +65,7 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     start = time.monotonic()
     rng = np.random.default_rng(tcfg.seed)
     drop_rng = np.random.default_rng(tcfg.seed + 1)
-    tensors = params.values()
+    tensors = list(params.values())
     state = AdamState(tensors, lr=tcfg.lr, beta1=tcfg.beta1,
                       beta2=tcfg.beta2, eps=tcfg.eps)
     report = TrainReport(params=params)
@@ -79,7 +79,7 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                 reset_grads(tensors)
                 with Tape() as tape:
                     losses = [sequence_loss(params, dataset[i], mcfg,
-                                            train=True, rng=drop_rng)
+                                            rng=drop_rng)
                               for i in batch]
                     total = losses[0]
                     for other in losses[1:]:

@@ -103,8 +103,8 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        assert list(loaded.names()) == list(params.names())
-        for name in params.names():
+        assert list(loaded) == list(params)
+        for name in params:
             assert np.array_equal(loaded[name].data, params[name].data)
 
     def test_save_load_save_identical_bytes(self, tmp_path):
@@ -202,6 +202,25 @@ class TestCliTrain:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, section", [
+        ({"model": {"bogus": 1}}, "model"),
+        ({"model": [1]}, "model"),
+        ({"train": {"epochs": "two"}}, "train"),
+        ({"model": {"n_layers": True}}, "model"),
+        ({"model": {"seed": 1}}, "model"),
+    ], ids=["unknown-key", "not-an-object", "wrong-type", "bool-for-int",
+            "cli-owned-key"])
+    def test_bad_config_is_one_error_line(self, tmp_path, data_path, capsys,
+                                          bad, section):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(bad))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: config section %r" % section)
+        assert len(err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")

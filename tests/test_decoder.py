@@ -7,10 +7,10 @@ import pytest
 
 from pointer_gpt.decoder import (
     DecodeConfig, Hypothesis, beam_search, greedy_decode, greedy_search,
-    make_step_fn, resolve_summary,
+    make_step_fn,
 )
 from pointer_gpt.model import ModelConfig, init_params, forward_hidden
-from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab
+from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab, decode
 
 
 def tiny_config(seed=0, v=20):
@@ -155,17 +155,17 @@ class TestResolveSummary:
     def test_in_vocab(self):
         v = build_vocab(["the cat sat"], max_size=10)
         ids = [v.id_of("the"), v.id_of("cat"), EOS]
-        assert resolve_summary(ids, v, []) == "the cat"
+        assert decode(ids, v, []) == "the cat"
 
     def test_copy_and_unk_rendering(self):
         v = build_vocab(["a"], max_size=10)
-        assert resolve_summary([v.size, UNK], v, ["dyspnea"]) \
+        assert decode([v.size, UNK], v, ["dyspnea"]) \
             == "dyspnea <unk>"
 
     def test_range_error(self):
         v = build_vocab(["a"], max_size=10)
         with pytest.raises(ValueError):
-            resolve_summary([v.size + 4], v, ["x"])
+            decode([v.size + 4], v, ["x"])
 
 
 class TestDecodeConfig:

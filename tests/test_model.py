@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import (
-    ModelConfig, init_params, forward_hidden, pointer_step, sequence_loss,
-    teacher_forced_ids,
+    ModelConfig, _attention, _causal_mask, init_params, forward_hidden,
+    pointer_step, sequence_loss, teacher_forced_ids,
 )
-from pointer_gpt.tensor import ContractError, Tape
+from pointer_gpt.tensor import ContractError, Tape, Tensor, backward
 from pointer_gpt.tokenizer import EOS, SEP, UNK, EncodedExample
 
 
@@ -39,7 +40,7 @@ class TestInitParams:
     def test_same_seed_bit_identical(self):
         a = init_params(tiny_config())
         b = init_params(tiny_config())
-        for name in a.names():
+        for name in a:
             assert np.array_equal(a[name].data, b[name].data)
 
     def test_different_seed_differs(self):
@@ -95,6 +96,102 @@ class TestForwardHidden:
         p = init_params(cfg)
         with pytest.raises(ValueError):
             forward_hidden(p, [cfg.vocab_size], cfg)
+
+
+def _softmax_rows(s):
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def per_head_attention(x, w, n_heads, mask, r):
+    """Causal self-attention one head at a time, in plain numpy.
+
+    Returns the output and, by a hand-written backward, the gradients of
+    sum(out * r) with respect to x and to every weight in w.
+    """
+    d = x.shape[1]
+    dh = d // n_heads
+    scale = dh ** -0.5
+    q, k, v = (x @ w["w" + n] + w["b" + n] for n in "qkv")
+    heads, probs = [], []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        p = _softmax_rows(q[:, cols] @ k[:, cols].T * scale + mask)
+        probs.append(p)
+        heads.append(p @ v[:, cols])
+    merged = np.concatenate(heads, axis=1)
+    out = merged @ w["wo"] + w["bo"]
+
+    grads = {"wo": merged.T @ r, "bo": r.sum(axis=0)}
+    d_merged = r @ w["wo"].T
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for h, p in enumerate(probs):
+        cols = slice(h * dh, (h + 1) * dh)
+        d_head = d_merged[:, cols]
+        dv[:, cols] = p.T @ d_head
+        dp = d_head @ v[:, cols].T
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        dq[:, cols] = ds @ k[:, cols]
+        dk[:, cols] = ds.T @ q[:, cols]
+    dx = np.zeros_like(x)
+    for n, dn in zip("qkv", (dq, dk, dv)):
+        grads["w" + n] = x.T @ dn
+        grads["b" + n] = dn.sum(axis=0)
+        dx += dn @ w["w" + n].T
+    return out, dx, grads
+
+
+class TestBatchedAttention:
+    """All heads in one batched op against the per-head reference above."""
+
+    T = 6
+
+    def _inputs(self, dtype, seed=0):
+        rng = np.random.default_rng(seed)
+        d = 8
+        x = rng.normal(size=(self.T, d))
+        w = {n: rng.normal(0.0, 0.5, size=(d, d)) for n in
+             ("wq", "wk", "wv", "wo")}
+        w.update({n: rng.normal(0.0, 0.5, size=d) for n in
+                  ("bq", "bk", "bv", "bo")})
+        r = rng.normal(size=(self.T, d))
+        cast = {n: a.astype(dtype) for n, a in w.items()}
+        return x.astype(dtype), cast, r.astype(dtype)
+
+    def _batched(self, x, w, n_heads, r):
+        cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=n_heads)
+        xt = Tensor(x, requires_grad=True)
+        params = {"attn." + n: Tensor(a, requires_grad=True)
+                  for n, a in w.items()}
+        mask = _causal_mask(self.T, x.dtype)
+        with Tape() as tape:
+            out = _attention(params, "attn.", xt, cfg, mask)
+            loss = ops.sum_all(ops.mul(out, Tensor(r)))
+        backward(tape, loss)
+        grads = {n[len("attn."):]: t.grad for n, t in params.items()}
+        return out.data, xt.grad, grads
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_forward_float32(self, n_heads):
+        x, w, r = self._inputs(np.float32)
+        mask = _causal_mask(self.T, np.float32)
+        want, _, _ = per_head_attention(x, w, n_heads, mask, r)
+        got, _, _ = self._batched(x, w, n_heads, r)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_gradients_float64(self, n_heads):
+        x, w, r = self._inputs(np.float64, seed=1)
+        mask = _causal_mask(self.T, np.float64)
+        _, want_dx, want = per_head_attention(x, w, n_heads, mask, r)
+        _, got_dx, got = self._batched(x, w, n_heads, r)
+        np.testing.assert_allclose(got_dx, want_dx, rtol=1e-6, atol=1e-12)
+        # atol covers bk, whose gradient is zero up to rounding: a key bias
+        # shifts each row of scores by a constant, which softmax ignores
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-6,
+                                       atol=1e-12, err_msg=name)
 
 
 class TestPointerStep:
@@ -260,6 +357,23 @@ class TestSequenceLoss:
         params = init_params(cfg)
         loss = float(sequence_loss(params, TOY_EXAMPLE, cfg).data)
         assert np.isfinite(loss) and loss > 0
+
+
+class TestDropout:
+    def test_masks_differ_across_calls_with_shared_rng(self):
+        cfg = tiny_config(dropout_rate=0.5)
+        params = init_params(cfg)
+        rng = np.random.default_rng(0)
+        losses = [float(sequence_loss(params, TOY_EXAMPLE, cfg, rng=rng).data)
+                  for _ in range(3)]
+        assert len(set(losses)) == 3
+
+    def test_no_rng_equals_zero_rate(self):
+        params = init_params(tiny_config())
+        plain = sequence_loss(params, TOY_EXAMPLE, tiny_config()).data
+        no_rng = sequence_loss(params, TOY_EXAMPLE,
+                               tiny_config(dropout_rate=0.5)).data
+        assert np.array_equal(plain, no_rng)
 
 
 class TestCausalityOfPointerOutputs:

@@ -35,6 +35,60 @@ class TestMatmul:
         err = gradcheck(lambda x, y: ops.sum_all(ops.matmul(x, y)), [a, b])
         assert err < 1e-4
 
+    def test_batched_matches_per_slice(self):
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(3, 4, 5))
+        b = rng.normal(size=(3, 6, 5))
+        out = ops.matmul(Tensor(a), ops.transpose(Tensor(b))).data
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ b[i].T, rtol=1e-12)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (3, 4, 5)),  # batch axes differ
+        ((3, 4), (2, 4, 5)),     # ranks differ
+    ])
+    def test_batch_axes_must_match(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            ops.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
+    def test_gradcheck_batched_with_transpose(self):
+        rng = np.random.default_rng(21)
+        a = t64(rng.normal(size=(2, 4, 3)))
+        b = t64(rng.normal(size=(2, 5, 3)))
+        w = np.asarray(rng.normal(size=(2, 4, 5)))
+        err = gradcheck(
+            lambda x, y: ops.sum_all(
+                ops.mul(ops.matmul(x, ops.transpose(y)), Tensor(w))),
+            [a, b])
+        assert err < 1e-6
+
+
+class TestHeads:
+    def test_split_layout_and_merge_inverse(self):
+        x = np.arange(24.0).reshape(3, 8)
+        split = ops.split_heads(Tensor(x), 4)
+        assert split.shape == (4, 3, 2)
+        for h in range(4):
+            np.testing.assert_array_equal(split.data[h], x[:, 2 * h:2 * h + 2])
+        np.testing.assert_array_equal(ops.merge_heads(split).data, x)
+
+    def test_split_heads_gradcheck(self):
+        rng = np.random.default_rng(22)
+        x = t64(rng.normal(size=(3, 8)))
+        w = np.asarray(rng.normal(size=(2, 3, 4)))
+        err = gradcheck(
+            lambda a: ops.sum_all(ops.mul(ops.split_heads(a, 2), Tensor(w))),
+            x)
+        assert err < 1e-6
+
+    def test_merge_heads_gradcheck(self):
+        rng = np.random.default_rng(23)
+        x = t64(rng.normal(size=(4, 3, 2)))
+        w = np.asarray(rng.normal(size=(3, 8)))
+        err = gradcheck(
+            lambda a: ops.sum_all(ops.mul(ops.merge_heads(a), Tensor(w))), x)
+        assert err < 1e-6
+
 
 class TestSoftmaxRows:
     def test_uniform_logits(self):

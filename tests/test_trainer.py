@@ -1,5 +1,7 @@
 """Training-loop tests: determinism, overfit, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,15 @@ class TestTrain:
         assert runs[0][0] == runs[1][0]
         for name in runs[0][1]:
             assert np.array_equal(runs[0][1][name], runs[1][1][name])
+
+    def test_dropout_seeded_runs_identical(self, corpus):
+        _, example, cfg = corpus
+        drop_cfg = dataclasses.replace(cfg, dropout_rate=0.3)
+        runs = [train(init_params(mcfg), [example],
+                      TrainConfig(epochs=3, seed=4), mcfg).losses
+                for mcfg in (drop_cfg, drop_cfg, cfg)]
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]  # dropout is on while training
 
     def test_loss_decreases_from_init(self, corpus):
         _, example, cfg = corpus
