@@ -10,13 +10,14 @@ Round trips are bit-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, param_specs
 from .tensor import Tensor
 
 MAGIC = b"PGPT"
@@ -60,7 +61,11 @@ def save_checkpoint(params, config, path):
 
 
 def load_checkpoint(path):
-    """Returns ({name: Tensor}, ModelConfig); never partially loads."""
+    """Returns ({name: Tensor}, ModelConfig); never partially loads.
+
+    The manifest must hold exactly the tensors `param_specs(config)` names,
+    with its shapes, and the payload must end where they do.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
@@ -83,16 +88,29 @@ def load_checkpoint(path):
         raise CheckpointError("corrupt checkpoint header: %s" % e) from e
 
     payload = raw[header_end:]
+    specs = param_specs(config)
     tensors = {}
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in specs or name in tensors:
+            raise CheckpointError("%s has an unexpected tensor %r"
+                                  % (path, name))
+        if shape != specs[name][0]:
+            raise CheckpointError("%s: tensor %r has shape %s, expected %s"
+                                  % (path, name, shape, specs[name][0]))
+        count = math.prod(shape)
         start = entry["offset"]
         end = start + 4 * count
         if end > len(payload):
             raise CheckpointError("%s is truncated (tensor %r)"
-                                  % (path, entry["name"]))
+                                  % (path, name))
         arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[entry["name"]] = Tensor(arr.astype(np.float32),
-                                        requires_grad=True)
+        tensors[name] = Tensor(arr.astype(np.float32), requires_grad=True)
+    missing = [name for name in specs if name not in tensors]
+    if missing:
+        raise CheckpointError("%s lacks tensor %r" % (path, missing[0]))
+    size = 4 * sum(math.prod(shape) for shape, _ in specs.values())
+    if len(payload) > size:
+        raise CheckpointError("%s has %d bytes after the payload"
+                              % (path, len(payload) - size))
     return tensors, config

@@ -56,6 +56,10 @@ def _load_config_file(path):
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
+    for name in cfg:
+        if name not in CONFIG_SECTIONS:
+            raise CliError("config section %r is not one of %s"
+                           % (name, ", ".join(CONFIG_SECTIONS)))
     for name, (defaults, cli_keys) in CONFIG_SECTIONS.items():
         section = cfg.get(name, {})
         if not isinstance(section, dict):

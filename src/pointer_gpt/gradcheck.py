@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .optim import reset_grads
 from .tensor import ContractError, Tape, Tensor, backward
 
 
@@ -18,16 +17,15 @@ def gradcheck(f, tensors, h=1e-5):
     """
     tensors = [tensors] if isinstance(tensors, Tensor) else list(tensors)
 
-    reset_grads(tensors)
     with Tape() as tape:
         loss = f(*tensors)
     if loss.data.size != 1:
         raise ContractError("gradcheck expects a scalar-valued function")
-    backward(tape, loss)
+    grads = backward(tape, loss)
 
     worst = 0.0
     for t in tensors:
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        analytic = grads[t] if t in grads else np.zeros_like(t.data)
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

@@ -34,6 +34,10 @@ class ModelConfig:
     baseline: bool = False  # gate frozen at p_gen = 1 (no copying)
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, getattr(self, name)))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.max_seq_len < 8:
@@ -49,48 +53,46 @@ class ModelConfig:
         return cls(**d)
 
 
-def init_params(config, dtype=np.float32):
-    """Seeded params as {name: Tensor} in checkpoint manifest order.
-
-    Weights ~ N(0, 0.02), biases zero, layer-norm gains one.
-    """
-    rng = np.random.default_rng(config.seed)
-    d, v = config.d_model, config.vocab_size
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape), requires_grad=True,
-                      dtype=dtype)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    def one_d(n):
-        return Tensor(np.ones(n), requires_grad=True, dtype=dtype)
-
-    t = {}
-    t["tok_emb"] = w(v, d)
-    t["pos_emb"] = w(config.max_seq_len, d)
+def param_specs(config):
+    """{name: (shape, init)} in checkpoint manifest order; init is "normal"
+    (N(0, 0.02)), "zeros" or "ones"."""
+    d, v, f = config.d_model, config.vocab_size, config.d_ff
+    specs = {"tok_emb": ((v, d), "normal"),
+             "pos_emb": ((config.max_seq_len, d), "normal")}
     for i in range(config.n_layers):
         p = "h%d." % i
-        t[p + "ln1.gain"] = one_d(d)
-        t[p + "ln1.bias"] = zeros(d)
+        specs[p + "ln1.gain"] = ((d,), "ones")
+        specs[p + "ln1.bias"] = ((d,), "zeros")
         for name in ("wq", "wk", "wv", "wo"):
-            t[p + "attn." + name] = w(d, d)
-            t[p + "attn.b" + name[1]] = zeros(d)
-        t[p + "ln2.gain"] = one_d(d)
-        t[p + "ln2.bias"] = zeros(d)
-        t[p + "mlp.w_in"] = w(d, config.d_ff)
-        t[p + "mlp.b_in"] = zeros(config.d_ff)
-        t[p + "mlp.w_out"] = w(config.d_ff, d)
-        t[p + "mlp.b_out"] = zeros(d)
-    t["ln_f.gain"] = one_d(d)
-    t["ln_f.bias"] = zeros(d)
-    t["w_vocab"] = w(d, v)
-    t["ptr.w"] = w(d, d)
-    t["gate.w_h"] = w(d, 1)
-    t["gate.w_c"] = w(d, 1)
-    t["gate.b"] = zeros(1, 1)
-    return t
+            specs[p + "attn." + name] = ((d, d), "normal")
+            specs[p + "attn.b" + name[1]] = ((d,), "zeros")
+        specs[p + "ln2.gain"] = ((d,), "ones")
+        specs[p + "ln2.bias"] = ((d,), "zeros")
+        specs[p + "mlp.w_in"] = ((d, f), "normal")
+        specs[p + "mlp.b_in"] = ((f,), "zeros")
+        specs[p + "mlp.w_out"] = ((f, d), "normal")
+        specs[p + "mlp.b_out"] = ((d,), "zeros")
+    specs["ln_f.gain"] = ((d,), "ones")
+    specs["ln_f.bias"] = ((d,), "zeros")
+    specs["w_vocab"] = ((d, v), "normal")
+    specs["ptr.w"] = ((d, d), "normal")
+    specs["gate.w_h"] = ((d, 1), "normal")
+    specs["gate.w_c"] = ((d, 1), "normal")
+    specs["gate.b"] = ((1, 1), "zeros")
+    return specs
+
+
+def init_params(config, dtype=np.float32):
+    """Seeded params as {name: Tensor} in `param_specs` order."""
+    rng = np.random.default_rng(config.seed)
+    params = {}
+    for name, (shape, init) in param_specs(config).items():
+        if init == "normal":
+            data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = np.full(shape, 1.0 if init == "ones" else 0.0)
+        params[name] = Tensor(data, requires_grad=True, dtype=dtype)
+    return params
 
 
 def _causal_mask(t_len, dtype):

@@ -23,18 +23,18 @@ class AdamState:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
 
-def adam_step(state):
-    """One bias-corrected Adam update over all tracked parameters."""
-    for i, p in enumerate(state.params):
-        if p.grad is None:
-            raise ContractError("adam_step: parameter %d has no grad" % i)
+def adam_step(state, grads):
+    """One bias-corrected Adam update; grads[i] belongs to state.params[i]."""
+    grads = list(grads)
+    if len(grads) != len(state.params):
+        raise ContractError("adam_step: %d grads for %d parameters"
+                            % (len(grads), len(state.params)))
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
     step = state.lr * math.sqrt(correction2) / correction1
-    for p, m, v in zip(state.params, state.m, state.v):
-        g = p.grad
+    for p, g, m, v in zip(state.params, grads, state.m, state.v):
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
@@ -42,33 +42,18 @@ def adam_step(state):
         p.data -= (step * m / (np.sqrt(v) + state.eps * math.sqrt(correction2))).astype(p.dtype)
 
 
-def clip_grad_norm(params, max_norm=1.0):
-    """Scale all grads so the global L2 norm is at most max_norm.
+def clip_grad_norm(grads, max_norm=1.0):
+    """(grads scaled so their global L2 norm is at most max_norm, pre-clip norm).
 
-    Returns the pre-clip norm. Idempotent: a second application is a no-op.
+    The inputs are never written: leaves fed through one op can share a
+    gradient buffer. Idempotent: clipping the result again changes nothing.
     """
-    params = list(params)
-    for i, p in enumerate(params):
-        if p.grad is None:
-            raise ContractError("clip_grad_norm: parameter %d has no grad" % i)
+    grads = list(grads)
     total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad.astype(np.float64) ** 2))
+    for g in grads:
+        total += float(np.sum(g.astype(np.float64) ** 2))
     norm = math.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
-    return norm
-
-
-def reset_grads(params):
-    for p in params:
-        p.grad = None
-
-
-def zero_fill_grads(params):
-    """Give parameters untouched by backward (frozen paths) a zero grad."""
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
+        grads = [g * factor for g in grads]
+    return grads, norm

@@ -1,9 +1,9 @@
 """Dense tensors and the reverse-mode autodiff tape.
 
 Tensors wrap a numpy float buffer (float32 for training, float64 for
-gradient checks) plus an optional gradient buffer. Operations defined in
-:mod:`pointer_gpt.ops` record themselves on the currently active
-:class:`Tape`; :func:`backward` replays the tape in reverse.
+gradient checks). Operations defined in :mod:`pointer_gpt.ops` record
+themselves on the currently active :class:`Tape`; :func:`backward` replays
+the tape in reverse and returns the gradients of its leaves.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ class ShapeError(ContractError):
 
 
 class Tensor:
-    """Shape + float buffer + optional grad buffer."""
+    """Shape + float buffer; hashed by identity, so it can key a dict."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -40,7 +40,6 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64, np.longdouble):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -50,14 +49,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
-
-    def accumulate_grad(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
 
     def __repr__(self):
         return "Tensor(shape=%s, requires_grad=%s)" % (
@@ -106,31 +97,26 @@ def make_output(out_data, inputs, backward_fn):
 
 
 def backward(tape, loss):
-    """Populate grads of every requires_grad tensor reachable from loss.
+    """{leaf: d loss / d leaf} for every requires_grad leaf loss reaches.
 
-    Grads accumulate into ``.grad``; callers reset between steps. The
-    traversal itself uses a scratch table, so replaying the same tape after
-    a grad reset reproduces identical results.
+    A leaf is a tensor no record on the tape produced. Each intermediate's
+    gradient is dropped once its record is replayed, so only leaves remain.
+    Nothing is written into the tensors: replaying the same tape gives
+    bit-identical results.
     """
     if loss.data.size != 1:
         raise ContractError("backward expects a scalar loss, got shape %s"
                             % (tuple(loss.shape),))
-    scratch = {id(loss): np.ones_like(loss.data)}
-    tensors = {id(loss): loss}
+    if not loss.requires_grad:
+        return {}
+    grads = {loss: np.ones_like(loss.data)}
     for out, inputs, backward_fn in reversed(tape._records):
-        out_grad = scratch.get(id(out))
+        out_grad = grads.pop(out, None)
         if out_grad is None:
             continue
         input_grads = backward_fn(out_grad)
         for inp, g in zip(inputs, input_grads):
             if g is None or not inp.requires_grad:
                 continue
-            key = id(inp)
-            if key in scratch:
-                scratch[key] = scratch[key] + g
-            else:
-                scratch[key] = g
-                tensors[key] = inp
-    for key, t in tensors.items():
-        if t.requires_grad:
-            t.accumulate_grad(scratch[key])
+            grads[inp] = grads[inp] + g if inp in grads else g
+    return grads

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import ops
 from .model import sequence_loss
-from .optim import (AdamState, adam_step, clip_grad_norm, reset_grads,
-                    zero_fill_grads)
+from .optim import AdamState, adam_step, clip_grad_norm
 from .tensor import Tape, backward
 
 
@@ -28,7 +27,6 @@ class TrainConfig:
     epochs: int = 1
     max_grad_norm: float = 1.0
     seed: int = 0
-    eval_every: int = 0  # 0 disables periodic evaluation
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -39,10 +37,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    losses: list = field(default_factory=list)        # per optimizer step
-    eval_points: list = field(default_factory=list)   # (step, mean loss)
+    losses: list = field(default_factory=list)  # per optimizer step
     wall_clock: float = 0.0
-    params: object = None
 
 
 def evaluate_loss(params, dataset, mcfg):
@@ -68,7 +64,7 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     tensors = list(params.values())
     state = AdamState(tensors, lr=tcfg.lr, beta1=tcfg.beta1,
                       beta2=tcfg.beta2, eps=tcfg.eps)
-    report = TrainReport(params=params)
+    report = TrainReport()
     log = open(loss_log_path, "a", encoding="utf-8") if loss_log_path else None
     step = 0
     try:
@@ -76,7 +72,6 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
             order = rng.permutation(len(dataset))
             for lo in range(0, len(order), tcfg.batch_size):
                 batch = order[lo:lo + tcfg.batch_size]
-                reset_grads(tensors)
                 with Tape() as tape:
                     losses = [sequence_loss(params, dataset[i], mcfg,
                                             rng=drop_rng)
@@ -92,18 +87,16 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                     raise TrainingError(
                         "non-finite loss at step %d (examples %s)"
                         % (step, bad))
-                backward(tape, batch_loss)
-                zero_fill_grads(tensors)
-                clip_grad_norm(tensors, tcfg.max_grad_norm)
-                adam_step(state)
-                reset_grads(tensors)
+                grads = backward(tape, batch_loss)
+                # the frozen baseline gate is never reached: its grad is zero
+                grads = [grads[p] if p in grads else np.zeros_like(p.data)
+                         for p in tensors]
+                grads, _norm = clip_grad_norm(grads, tcfg.max_grad_norm)
+                adam_step(state, grads)
                 step += 1
                 report.losses.append(value)
                 if log:
                     log.write("%d\t%.6f\n" % (step, value))
-                if tcfg.eval_every and step % tcfg.eval_every == 0:
-                    report.eval_points.append(
-                        (step, evaluate_loss(params, dataset, mcfg)))
     finally:
         if log:
             log.close()

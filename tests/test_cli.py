@@ -151,6 +151,59 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def _rewrite(self, path, edit_manifest=None, payload_suffix=b""):
+        """Re-save the checkpoint at path with its manifest edited."""
+        blob = open(path, "rb").read()
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        header = json.loads(blob[12:12 + header_len])
+        if edit_manifest:
+            edit_manifest(header["manifest"])
+        raw = json.dumps(header).encode("utf-8")
+        open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw
+                               + blob[12 + header_len:] + payload_suffix)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop(), "lacks tensor 'gate.b'"),
+        (lambda m: m.append({"name": "extra", "shape": [1], "offset": 0}),
+         "unexpected tensor 'extra'"),
+        (lambda m: m.__setitem__(-1, dict(m[-2])),
+         "unexpected tensor 'gate.w_c'"),
+        # same element count, so only the shape check can catch it
+        (lambda m: m[0].__setitem__("shape", m[0]["shape"][::-1]),
+         "'tok_emb' has shape"),
+    ], ids=["missing", "extra", "duplicate", "misshaped"])
+    def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, payload_suffix=b"\x00" * 4)
+        with pytest.raises(CheckpointError, match="4 bytes after"):
+            load_checkpoint(path)
+
+    def test_cli_reports_bad_checkpoint_in_one_line(self, tmp_path, capsys):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, lambda m: m.pop())
+        vocab = tmp_path / "vocab.txt"
+        Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(str(vocab))
+        doc = tmp_path / "doc.txt"
+        doc.write_text("a b c")
+        code = main(["summarize", "--ckpt", path, "--vocab", str(vocab),
+                     "--input", str(doc)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "lacks tensor 'gate.b'" in err
+        assert len(err.splitlines()) == 1
+
     def test_no_partial_file_on_success(self, tmp_path):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
@@ -209,8 +262,9 @@ class TestCliTrain:
         ({"train": {"epochs": "two"}}, "train"),
         ({"model": {"n_layers": True}}, "model"),
         ({"model": {"seed": 1}}, "model"),
+        ({"modle": {"d_model": 8}}, "modle"),
     ], ids=["unknown-key", "not-an-object", "wrong-type", "bool-for-int",
-            "cli-owned-key"])
+            "cli-owned-key", "unknown-section"])
     def test_bad_config_is_one_error_line(self, tmp_path, data_path, capsys,
                                           bad, section):
         config = tmp_path / "bad.json"
@@ -220,6 +274,19 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: config section %r" % section)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 0), ("n_layers", 0), ("d_ff", -3), ("d_model", 0)])
+    def test_non_positive_dimension_is_one_error_line(
+            self, tmp_path, data_path, capsys, field, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"model": {field: value}}))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: %s must be at least 1" % field)
         assert len(err.splitlines()) == 1
 
 

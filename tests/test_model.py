@@ -167,9 +167,9 @@ class TestBatchedAttention:
         with Tape() as tape:
             out = _attention(params, "attn.", xt, cfg, mask)
             loss = ops.sum_all(ops.mul(out, Tensor(r)))
-        backward(tape, loss)
-        grads = {n[len("attn."):]: t.grad for n, t in params.items()}
-        return out.data, xt.grad, grads
+        grads = backward(tape, loss)
+        named = {n[len("attn."):]: grads[t] for n, t in params.items()}
+        return out.data, grads[xt], named
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_forward_float32(self, n_heads):

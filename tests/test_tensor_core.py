@@ -5,7 +5,7 @@ import pytest
 
 from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
-from pointer_gpt.optim import AdamState, adam_step, clip_grad_norm, reset_grads
+from pointer_gpt.optim import AdamState, adam_step, clip_grad_norm
 from pointer_gpt.tensor import ContractError, ShapeError, Tape, Tensor, backward
 
 
@@ -170,15 +170,13 @@ class TestBackward:
         x = t64(np.arange(6.0).reshape(2, 3))
         with Tape() as tape:
             loss = ops.sum_all(x)
-        backward(tape, loss)
-        np.testing.assert_allclose(x.grad, np.ones((2, 3)))
+        np.testing.assert_allclose(backward(tape, loss)[x], np.ones((2, 3)))
 
     def test_square_grad(self):
         x = t64([[2.0]])
         with Tape() as tape:
             loss = ops.sum_all(ops.mul(x, x))
-        backward(tape, loss)
-        np.testing.assert_allclose(x.grad, [[4.0]])
+        np.testing.assert_allclose(backward(tape, loss)[x], [[4.0]])
 
     def test_non_scalar_loss_rejected(self):
         x = t64(np.ones((2, 2)))
@@ -187,47 +185,67 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(tape, y)
 
-    def test_accumulation_without_reset(self):
+    def test_returns_exactly_the_reachable_leaves(self):
+        rng = np.random.default_rng(10)
+        x = t64(rng.normal(size=(3, 4)))
+        w = t64(rng.normal(size=(4, 2)))
+        const = t64(rng.normal(size=(3, 2)), requires_grad=False)
+        unused = t64(np.ones(2))
+        with Tape() as tape:
+            h = ops.matmul(x, w)
+            y = ops.gelu(ops.add(h, const))
+            loss = ops.sum_all(y)
+        grads = backward(tape, loss)
+        assert grads.keys() == {x, w}
+        for t in (h, y, loss, const, unused):
+            assert t not in grads
+        assert grads[x].shape == x.shape and grads[w].shape == w.shape
+
+    def test_constant_loss_has_no_grads(self):
+        with Tape() as tape:
+            loss = ops.sum_all(t64(np.ones(3), requires_grad=False))
+        assert backward(tape, loss) == {}
+
+    def test_no_accumulation_across_calls(self):
         x = t64(np.ones(3))
         with Tape() as tape:
             loss = ops.sum_all(x)
-        backward(tape, loss)
-        backward(tape, loss)
-        np.testing.assert_allclose(x.grad, 2 * np.ones(3))
+        first = backward(tape, loss)
+        second = backward(tape, loss)
+        np.testing.assert_array_equal(first[x], np.ones(3))
+        np.testing.assert_array_equal(second[x], np.ones(3))
 
-    def test_repeat_with_reset_is_bit_identical(self):
+    def test_repeat_is_bit_identical(self):
         rng = np.random.default_rng(6)
         x = t64(rng.normal(size=(4, 4)))
         w = t64(rng.normal(size=(4, 4)))
         with Tape() as tape:
             loss = ops.sum_all(ops.gelu(ops.matmul(x, w)))
-        backward(tape, loss)
-        first = x.grad.copy(), w.grad.copy()
-        reset_grads([x, w])
-        backward(tape, loss)
-        assert np.array_equal(first[0], x.grad)
-        assert np.array_equal(first[1], w.grad)
+        first = backward(tape, loss)
+        second = backward(tape, loss)
+        assert first.keys() == second.keys() == {x, w}
+        for t in first:
+            assert np.array_equal(first[t], second[t])
 
 
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.array([1.0], dtype=np.float32)
         state = AdamState([p], lr=0.1)
-        adam_step(state)
+        adam_step(state, [np.array([1.0], dtype=np.float32)])
         assert state.t == 1
         np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
 
     def test_zero_grad_leaves_parameter(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        p.grad = np.zeros(1, dtype=np.float32)
-        adam_step(AdamState([p], lr=0.1))
+        adam_step(AdamState([p], lr=0.1), [np.zeros(1, dtype=np.float32)])
         np.testing.assert_allclose(p.data, [1.0])
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
+        q = Tensor(np.array([2.0]), requires_grad=True)
         with pytest.raises(ContractError):
-            adam_step(AdamState([p]))
+            adam_step(AdamState([p, q]), [np.ones(1, dtype=np.float32)])
 
     def test_quadratic_loss_decreases(self):
         # loss = p^2, grad = 2p
@@ -236,47 +254,56 @@ class TestAdam:
         losses = []
         for _ in range(2):
             losses.append(float(p.data[0] ** 2))
-            p.grad = 2.0 * p.data
-            adam_step(state)
+            adam_step(state, [2.0 * p.data])
         losses.append(float(p.data[0] ** 2))
         assert losses[0] > losses[1] > losses[2]
 
 
 class TestClipGradNorm:
     def test_below_threshold_unchanged(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([0.3, 0.4], dtype=np.float32)
-        norm = clip_grad_norm([p], 1.0)
+        (g,), norm = clip_grad_norm([np.array([0.3, 0.4], dtype=np.float32)],
+                                    1.0)
         assert norm == pytest.approx(0.5)
-        np.testing.assert_allclose(p.grad, [0.3, 0.4])
+        np.testing.assert_allclose(g, [0.3, 0.4])
 
     def test_3_4_5_triangle(self):
-        p = Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.array([3.0, 4.0], dtype=np.float32)
-        norm = clip_grad_norm([p], 1.0)
+        (g,), norm = clip_grad_norm([np.array([3.0, 4.0], dtype=np.float32)],
+                                    1.0)
         assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(p.grad, [0.6, 0.8], atol=1e-7)
+        np.testing.assert_allclose(g, [0.6, 0.8], atol=1e-7)
 
     def test_postclip_norm_bounded(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            params = []
-            for shape in [(3, 3), (5,), (2, 4)]:
-                p = Tensor(np.zeros(shape), requires_grad=True)
-                p.grad = rng.normal(size=shape).astype(np.float32) * 10
-                params.append(p)
-            clip_grad_norm(params, 1.0)
-            total = sum(float((p.grad ** 2).sum()) for p in params)
+            grads = [rng.normal(size=shape).astype(np.float32) * 10
+                     for shape in [(3, 3), (5,), (2, 4)]]
+            clipped, _ = clip_grad_norm(grads, 1.0)
+            total = sum(float((g ** 2).sum()) for g in clipped)
             assert np.sqrt(total) <= 1.0 + 1e-6
 
     def test_idempotent(self):
         rng = np.random.default_rng(8)
-        p = Tensor(np.zeros(6), requires_grad=True)
-        p.grad = rng.normal(size=6).astype(np.float32) * 3
-        clip_grad_norm([p], 1.0)
-        once = p.grad.copy()
-        clip_grad_norm([p], 1.0)
-        np.testing.assert_array_equal(once, p.grad)
+        once, _ = clip_grad_norm([rng.normal(size=6).astype(np.float32) * 3],
+                                 1.0)
+        twice, _ = clip_grad_norm(once, 1.0)
+        np.testing.assert_array_equal(once[0], twice[0])
+
+    def test_shared_buffer_clipped_once_inputs_unchanged(self):
+        # add's backward hands the same gradient array to both operands
+        a = t64([3.0, 0.0])
+        b = t64([0.0, 4.0])
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.add(a, b), Tensor(
+                np.array([3.0, 4.0]))))
+        grads = backward(tape, loss)
+        assert np.shares_memory(grads[a], grads[b])
+        before = grads[a].copy()
+        (ga, gb), norm = clip_grad_norm([grads[a], grads[b]], 1.0)
+        assert norm == pytest.approx(np.sqrt(50.0))
+        want = before / np.sqrt(50.0)
+        np.testing.assert_allclose(ga, want)
+        np.testing.assert_allclose(gb, want)
+        np.testing.assert_array_equal(grads[a], before)
 
 
 class TestGradcheck:

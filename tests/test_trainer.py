@@ -50,6 +50,16 @@ class TestTrain:
         for name in runs[0][1]:
             assert np.array_equal(runs[0][1][name], runs[1][1][name])
 
+    def test_baseline_gate_stays_frozen(self, corpus):
+        _, example, cfg = corpus
+        base_cfg = dataclasses.replace(cfg, baseline=True)
+        params = init_params(base_cfg)
+        before = {n: t.data.copy() for n, t in params.items()}
+        train(params, [example], TrainConfig(epochs=3), base_cfg)
+        for name in ("gate.w_h", "gate.w_c", "gate.b"):
+            assert np.array_equal(before[name], params[name].data), name
+        assert not np.array_equal(before["w_vocab"], params["w_vocab"].data)
+
     def test_dropout_seeded_runs_identical(self, corpus):
         _, example, cfg = corpus
         drop_cfg = dataclasses.replace(cfg, dropout_rate=0.3)
@@ -123,10 +133,3 @@ class TestEvaluateLoss:
         increases = sum(1 for a, b in zip(checkpoints, checkpoints[1:])
                         if b > a)
         assert increases <= 1  # allow <=10% non-monotone steps
-
-    def test_eval_every_records_points(self, corpus):
-        _, example, cfg = corpus
-        params = init_params(cfg)
-        report = train(params, [example],
-                       TrainConfig(epochs=6, eval_every=2), cfg)
-        assert [s for s, _ in report.eval_points] == [2, 4, 6]
