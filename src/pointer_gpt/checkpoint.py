@@ -87,20 +87,27 @@ def load_checkpoint(path):
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError("corrupt checkpoint header: %s" % e) from e
 
+    try:
+        entries = [(e["name"], tuple(e["shape"]), e["offset"])
+                   for e in manifest]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError("%s has a malformed manifest entry: %r"
+                              % (path, e)) from e
+
     payload = raw[header_end:]
     specs = param_specs(config)
     tensors = {}
-    for entry in manifest:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in specs or name in tensors:
+    for name, shape, start in entries:
+        if not isinstance(name, str) or name not in specs or name in tensors:
             raise CheckpointError("%s has an unexpected tensor %r"
                                   % (path, name))
         if shape != specs[name][0]:
             raise CheckpointError("%s: tensor %r has shape %s, expected %s"
                                   % (path, name, shape, specs[name][0]))
-        count = math.prod(shape)
-        start = entry["offset"]
-        end = start + 4 * count
+        if type(start) is not int or start < 0:
+            raise CheckpointError("%s: tensor %r has offset %r, expected a "
+                                  "non-negative integer" % (path, name, start))
+        end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError("%s is truncated (tensor %r)"
                                   % (path, name))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import pointer_step, forward_hidden
+from . import ops
+from .model import forward_hidden, pointer_head
 from .tokenizer import EOS, SEP, UNK
 
 
@@ -44,18 +45,37 @@ class Hypothesis:
 
 
 def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
-    """Next-token distribution over the extended vocab, given emitted ids."""
+    """Next-token distribution over the extended vocab, given emitted ids.
+
+    Source + SEP run once to fill a K/V cache and fix h_src (causality). A
+    prefix extends the (cache, h_t) state of its longest cached ancestor,
+    by one id in search order; states over one id shorter than the prefix
+    just computed are dropped, except the root."""
     v = config.vocab_size
-    prefix_base = list(source_ids) + [SEP]
     s = len(source_ids)
+    root = []
+    hidden = forward_hidden(params, list(source_ids) + [SEP], config,
+                            cache=root)
+    h_src = ops.take_rows(hidden, np.arange(s))
+    states = {(): (root, ops.take_rows(hidden, [s]))}
 
     def step_fn(emitted_ids):
-        feed = [UNK if i >= v else i for i in emitted_ids]
-        ids = prefix_base + feed
-        hidden = forward_hidden(params, ids, config)
-        out = pointer_step(params, hidden, len(ids) - 1, s,
-                           source_ext_ids, oov_count, config)
-        return out.mixed
+        key = tuple(emitted_ids)
+        n = len(key)
+        while key[:n] not in states:
+            n -= 1
+        cache, h_t = states[key[:n]]
+        if n < len(key):
+            cache = list(cache)  # the ancestor's arrays stay intact
+            feed = [UNK if i >= v else i for i in key[n:]]
+            hidden = forward_hidden(params, feed, config, cache=cache)
+            h_t = ops.take_rows(hidden, [len(feed) - 1])
+            for old in [p for p in states if 0 < len(p) < len(key) - 1]:
+                del states[old]
+            states[key] = (cache, h_t)
+        _, _, mixed = pointer_head(params, h_src, h_t, source_ext_ids,
+                                   oov_count, config)
+        return mixed.data[0]
 
     return step_fn
 

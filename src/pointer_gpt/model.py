@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, Tensor, active_tape
 from .tokenizer import SEP, UNK
 
 NEG_INF = -1e9
@@ -95,12 +95,13 @@ def init_params(config, dtype=np.float32):
     return params
 
 
-def _causal_mask(t_len, dtype):
-    mask = np.triu(np.full((t_len, t_len), NEG_INF, dtype=dtype), k=1)
-    return mask
+def _causal_mask(t_len, dtype, t_past=0):
+    """[t_len, t_past + t_len]: new row i sees keys up to t_past + i."""
+    return np.triu(np.full((t_len, t_past + t_len), NEG_INF, dtype=dtype),
+                   k=t_past + 1)
 
 
-def _attention(params, prefix, x, config, mask):
+def _attention(params, prefix, x, config, mask, cache=None, layer=0):
     """Causal self-attention with every head in one [H, T, d_head] op."""
     n_heads = config.n_heads
     scale = 1.0 / math.sqrt(config.d_model // n_heads)
@@ -108,6 +109,14 @@ def _attention(params, prefix, x, config, mask):
     k = ops.add(ops.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
     v = ops.add(ops.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
     qh, kh, vh = (ops.split_heads(t, n_heads) for t in (q, k, v))
+    if cache is not None:  # attend over the cached rows, then store all
+        if layer < len(cache):
+            past_k, past_v = cache[layer]
+            kh = Tensor(np.concatenate([past_k, kh.data], axis=1))
+            vh = Tensor(np.concatenate([past_v, vh.data], axis=1))
+            cache[layer] = (kh.data, vh.data)
+        else:
+            cache.append((kh.data, vh.data))
     scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
     attn = ops.softmax_rows(ops.add_const(scores, mask))
     merged = ops.merge_heads(ops.matmul(attn, vh))
@@ -115,16 +124,23 @@ def _attention(params, prefix, x, config, mask):
                    params[prefix + "bo"])
 
 
-def forward_hidden(params, input_ids, config, rng=None):
+def forward_hidden(params, input_ids, config, rng=None, cache=None):
     """Hidden states [T x d_model]; hidden[t] depends only on ids[0..t].
-    Dropout at ``config.dropout_rate`` runs only when ``rng`` is given."""
+    Dropout at ``config.dropout_rate`` runs only when ``rng`` is given.
+
+    ``cache`` (inference only; empty at first) is a list of per-layer (K, V)
+    arrays [H, T_past, d_head]; the ids continue at position T_past."""
+    if cache is not None and active_tape() is not None:
+        raise ContractError("forward_hidden with a cache cannot run under a "
+                            "Tape: the K/V concatenation has no backward")
     ids = np.asarray(input_ids, dtype=np.int64)
     t_len = ids.shape[0]
+    t_past = cache[0][0].shape[1] if cache else 0
     if t_len == 0:
         raise ContractError("empty input sequence")
-    if t_len > config.max_seq_len:
+    if t_past + t_len > config.max_seq_len:
         raise ValueError("sequence length %d exceeds max_seq_len %d"
-                         % (t_len, config.max_seq_len))
+                         % (t_past + t_len, config.max_seq_len))
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError("token id out of range [0, %d)" % config.vocab_size)
 
@@ -132,13 +148,13 @@ def forward_hidden(params, input_ids, config, rng=None):
     drop = config.dropout_rate if rng is not None else 0.0
 
     x = ops.add(ops.take_rows(params["tok_emb"], ids),
-                ops.take_rows(params["pos_emb"], np.arange(t_len)))
-    mask = _causal_mask(t_len, dtype)
+                ops.take_rows(params["pos_emb"], t_past + np.arange(t_len)))
+    mask = _causal_mask(t_len, dtype, t_past)
     for i in range(config.n_layers):
         p = "h%d." % i
         normed = ops.layer_norm(x, params[p + "ln1.gain"],
                                 params[p + "ln1.bias"])
-        a = _attention(params, p + "attn.", normed, config, mask)
+        a = _attention(params, p + "attn.", normed, config, mask, cache, i)
         if drop > 0.0:
             a = ops.dropout(a, drop, rng)
         x = ops.add(x, a)
@@ -163,23 +179,22 @@ class PointerOutput:
     mixed: np.ndarray    # over extended vocab V + |oov|, sums to 1
 
 
-def _mixed_distribution(params, hidden, step_rows, source_len,
-                        source_ext_ids, oov_count, config):
+def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
     """Batched pointer head: returns (attn, p_gen, mixed) Tensors.
 
-    step_rows are the positions whose next token is being predicted; the
-    final-layer states at source positions act as the encoder side, the
-    state at each step row as the decoder side.
+    h_src [S, d] are the final-layer states at the source positions (the
+    encoder side); each row of h_t [n, d] is the state at a position whose
+    next token is being predicted (the decoder side).
     """
     v = config.vocab_size
     ext_ids = np.asarray(source_ext_ids, dtype=np.int64)
-    if ext_ids.shape[0] != source_len:
+    if h_src.shape[0] < 1:
+        raise ContractError("source must be nonempty")
+    if ext_ids.shape[0] != h_src.shape[0]:
         raise ContractError("source_ext_ids length != source length")
     if ext_ids.size and ext_ids.max() >= v + oov_count:
         raise ContractError("oov_count %d inconsistent with max extended id %d"
                             % (oov_count, int(ext_ids.max())))
-    h_src = ops.take_rows(hidden, np.arange(source_len))
-    h_t = ops.take_rows(hidden, np.asarray(step_rows, dtype=np.int64))
 
     scores = ops.matmul(ops.matmul(h_t, params["ptr.w"]), ops.transpose(h_src))
     attn = ops.softmax_rows(scores)
@@ -187,7 +202,7 @@ def _mixed_distribution(params, hidden, step_rows, source_len,
 
     vocab_dist = ops.softmax_rows(ops.matmul(h_t, params["w_vocab"]))
     if config.baseline:
-        p_gen = Tensor(np.ones((len(step_rows), 1)), dtype=hidden.dtype)
+        p_gen = Tensor(np.ones((h_t.shape[0], 1)), dtype=h_t.dtype)
     else:
         gate_logit = ops.add(ops.add(ops.matmul(h_t, params["gate.w_h"]),
                                      ops.matmul(context, params["gate.w_c"])),
@@ -204,13 +219,12 @@ def _mixed_distribution(params, hidden, step_rows, source_len,
 def pointer_step(params, hidden, step, source_len, source_ext_ids,
                  oov_count, config):
     """Pointer head at one position; generation requires step >= source_len."""
-    if source_len < 1:
-        raise ContractError("source must be nonempty")
     if step < source_len:
         raise ContractError("pointer_step at %d precedes end of source %d"
                             % (step, source_len))
-    attn, p_gen, mixed = _mixed_distribution(
-        params, hidden, [step], source_len, source_ext_ids, oov_count, config)
+    attn, p_gen, mixed = pointer_head(
+        params, ops.take_rows(hidden, np.arange(source_len)),
+        ops.take_rows(hidden, [step]), source_ext_ids, oov_count, config)
     return PointerOutput(attn=attn.data[0].copy(),
                          p_gen=float(p_gen.data[0, 0]),
                          mixed=mixed.data[0].copy())
@@ -234,9 +248,9 @@ def sequence_loss(params, example, config, rng=None):
         raise ValueError("encoded example length %d exceeds max_seq_len %d"
                          % (len(input_ids), config.max_seq_len))
     hidden = forward_hidden(params, input_ids, config, rng=rng)
-    step_rows = np.arange(s, s + n)
-    _, _, mixed = _mixed_distribution(
-        params, hidden, step_rows, s, example.source_ext_ids,
+    _, _, mixed = pointer_head(
+        params, ops.take_rows(hidden, np.arange(s)),
+        ops.take_rows(hidden, np.arange(s, s + n)), example.source_ext_ids,
         len(example.oov), config)
     picked = ops.gather_cols(mixed, np.asarray(example.target_ext_ids))
     return ops.affine(ops.mean_all(ops.clamped_log(picked)), -1.0)

@@ -33,6 +33,11 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1, got %r" % self.epochs)
+        if self.max_grad_norm <= 0:
+            raise ValueError("max_grad_norm must be positive, got %r"
+                             % self.max_grad_norm)
 
 
 @dataclass

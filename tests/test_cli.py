@@ -171,7 +171,14 @@ class TestCheckpoint:
         # same element count, so only the shape check can catch it
         (lambda m: m[0].__setitem__("shape", m[0]["shape"][::-1]),
          "'tok_emb' has shape"),
-    ], ids=["missing", "extra", "duplicate", "misshaped"])
+        (lambda m: m[0].pop("offset"), "malformed manifest entry"),
+        (lambda m: m[1].pop("name"), "malformed manifest entry"),
+        (lambda m: m.__setitem__(0, "tok_emb"), "malformed manifest entry"),
+        (lambda m: m[0].__setitem__("offset", -4),
+         "'tok_emb' has offset -4, expected a non-negative integer"),
+        (lambda m: m[0].__setitem__("offset", 0.5), "'tok_emb' has offset 0.5"),
+    ], ids=["missing", "extra", "duplicate", "misshaped", "no-offset",
+            "no-name", "not-a-dict", "negative-offset", "float-offset"])
     def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
@@ -288,6 +295,25 @@ class TestCliTrain:
         assert code == 1
         assert err.startswith("error: %s must be at least 1" % field)
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_grad_norm", 0.0, "max_grad_norm must be positive"),
+        ("max_grad_norm", -1.0, "max_grad_norm must be positive"),
+        ("epochs", 0, "epochs must be at least 1"),
+        ("epochs", -1, "epochs must be at least 1"),
+    ])
+    def test_bad_train_setting_is_one_error_line(
+            self, tmp_path, data_path, capsys, field, value, message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"train": {field: value}}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_path, "--out", str(out),
+                     "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: " + message)
+        assert len(err.splitlines()) == 1
+        assert not (out / "model.ckpt").exists()
 
 
 @pytest.fixture(scope="module")

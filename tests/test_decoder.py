@@ -9,7 +9,9 @@ from pointer_gpt.decoder import (
     DecodeConfig, Hypothesis, beam_search, greedy_decode, greedy_search,
     make_step_fn,
 )
-from pointer_gpt.model import ModelConfig, init_params, forward_hidden
+from pointer_gpt import model
+from pointer_gpt.model import (NEG_INF, ModelConfig, forward_hidden,
+                               init_params, pointer_step)
 from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab, decode
 
 
@@ -122,6 +124,92 @@ class TestBeamOnRandomModels:
                 ids = greedy_decode(params, src, ext, 1, cfg,
                                     DecodeConfig(max_summary_len=max_len))
                 assert len(ids) <= max_len
+
+
+# --- incremental decoding against a full-prefix forward per step ----------
+
+def criterion_9_model(seed):
+    """The seeded float32 models of acceptance criterion 9, plus a variant
+    of their source whose first word is an OOV copy (fed back as UNK)."""
+    cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1,
+                      d_ff=32, max_seq_len=16, seed=seed)
+    rng = np.random.default_rng(seed)
+    src = list(rng.integers(5, cfg.vocab_size, size=4)) + [EOS]
+    return init_params(cfg), src, [cfg.vocab_size] + src[1:], cfg
+
+
+def full_prefix_step_fn(params, src, ext, oov_count, cfg):
+    """Reference: pointer_step over forward_hidden of the whole prefix."""
+    def step_fn(emitted):
+        feed = [UNK if i >= cfg.vocab_size else i for i in emitted]
+        ids = src + [SEP] + feed
+        hidden = forward_hidden(params, ids, cfg)
+        return pointer_step(params, hidden, len(ids) - 1, len(src), ext,
+                            oov_count, cfg).mixed
+
+    return step_fn
+
+
+SEARCHES = (lambda fn: greedy_search(fn, 6),
+            lambda fn: beam_search(fn, 6, beam_width=4))
+
+
+def cached_mismatches(seeds):
+    """(seed, oov_count) cases where the cached step_fn departs from the
+    reference: a queried distribution off by more than 1e-6, or different
+    greedy or beam-4 ids."""
+    bad = []
+    for seed in seeds:
+        params, src, oov_ext, cfg = criterion_9_model(seed)
+        for ext, oov_count in ((src, 0), (oov_ext, 1)):
+            ref = full_prefix_step_fn(params, src, ext, oov_count, cfg)
+            step_fn = make_step_fn(params, src, ext, oov_count, cfg)
+            queried = []
+
+            def cached(emitted):
+                dist = step_fn(emitted)
+                queried.append((list(emitted), dist))
+                return dist
+
+            same_ids = all(search(cached).ids == search(ref).ids
+                           for search in SEARCHES)
+            worst = max(np.abs(dist - ref(e)).max() for e, dist in queried)
+            if not same_ids or worst > 1e-6:
+                bad.append((seed, oov_count))
+    return bad
+
+
+class TestIncrementalDecoding:
+    def test_cached_matches_full_prefix_on_20_models(self):
+        assert cached_mismatches(range(20)) == []
+
+    def test_mask_offset_off_by_one_is_caught(self, monkeypatch):
+        # mutation control: with a cache, the new row no longer sees itself
+        def off_by_one(t_len, dtype, t_past=0):
+            k = t_past if t_past else 1
+            return np.triu(np.full((t_len, t_past + t_len), NEG_INF,
+                                   dtype=dtype), k=k)
+
+        monkeypatch.setattr(model, "_causal_mask", off_by_one)
+        assert len(cached_mismatches(range(20))) == 40
+
+    def test_out_of_order_queries_match_a_fresh_step_fn(self):
+        for seed in range(8):
+            params, src, ext, cfg = criterion_9_model(seed)
+
+            def fresh():
+                return make_step_fn(params, src, ext, 1, cfg)
+
+            step_fn = fresh()
+            greedy = greedy_search(step_fn, 6)
+            beam = beam_search(step_fn, 6, beam_width=4)
+            assert greedy.ids == greedy_search(fresh(), 6).ids
+            assert beam.ids == beam_search(fresh(), 6, beam_width=4).ids
+            for prefix in (greedy.ids[:1], (), beam.ids[:3], greedy.ids,
+                           beam.ids[:3]):
+                np.testing.assert_allclose(step_fn(list(prefix)),
+                                           fresh()(list(prefix)),
+                                           rtol=0, atol=1e-6)
 
 
 class TestForcedCopy:

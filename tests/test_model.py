@@ -98,6 +98,45 @@ class TestForwardHidden:
             forward_hidden(p, [cfg.vocab_size], cfg)
 
 
+class TestKVCache:
+    @pytest.mark.parametrize("chunks", [[9, 1, 1, 1], [4, 3, 5], [1] * 12])
+    def test_chunked_rows_equal_full_forward(self, chunks):
+        cfg = tiny_config()
+        p = init_params(cfg)
+        ids = list(np.random.default_rng(1).integers(0, cfg.vocab_size,
+                                                     size=sum(chunks)))
+        full = forward_hidden(p, ids, cfg).data
+        cache, rows, at = [], [], 0
+        for n in chunks:
+            rows.append(forward_hidden(p, ids[at:at + n], cfg,
+                                       cache=cache).data)
+            at += n
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0,
+                                   atol=1e-6)
+        head = cfg.d_model // cfg.n_heads
+        assert len(cache) == cfg.n_layers
+        assert all(k.shape == v.shape == (cfg.n_heads, at, head)
+                   for k, v in cache)
+
+    def test_cache_under_tape_rejected(self):
+        cfg = tiny_config()
+        p = init_params(cfg)
+        with Tape(), pytest.raises(ContractError, match="Tape"):
+            forward_hidden(p, [5, 6], cfg, cache=[])
+
+    def test_cached_total_length_checked(self):
+        cfg = tiny_config()
+        p = init_params(cfg)
+        cache = []
+        forward_hidden(p, [5] * (cfg.max_seq_len - 1), cfg, cache=cache)
+        with pytest.raises(ValueError, match="sequence length %d exceeds"
+                           % (cfg.max_seq_len + 1)):
+            forward_hidden(p, [5, 6], cfg, cache=cache)
+        # the failed call leaves the cache as it was
+        forward_hidden(p, [6], cfg, cache=cache)
+        assert cache[0][0].shape[1] == cfg.max_seq_len
+
+
 def _softmax_rows(s):
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

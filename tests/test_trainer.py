@@ -23,14 +23,9 @@ def corpus():
 
 
 class TestTrain:
-    def test_zero_epochs_is_a_no_op(self, corpus):
-        _, example, cfg = corpus
-        params = init_params(cfg)
-        before = {n: t.data.copy() for n, t in params.items()}
-        report = train(params, [example], TrainConfig(epochs=0), cfg)
-        assert report.losses == []
-        for name, t in params.items():
-            assert np.array_equal(before[name], t.data)
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            TrainConfig(epochs=0)
 
     def test_empty_dataset_rejected(self, corpus):
         _, _, cfg = corpus
