@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .model import forward_hidden, pointer_head
+from .tensor import Tensor
 from .tokenizer import EOS, SEP, UNK
 
 
@@ -44,38 +44,53 @@ class Hypothesis:
         return self.log_prob / (len(self.ids) ** alpha)
 
 
+def _stacked(caches):
+    """Per-layer (K, V) of several prefixes, stacked on a new batch axis."""
+    return [tuple(np.array(kv) for kv in zip(*layers))
+            for layers in zip(*caches)]
+
+
 def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
-    """Next-token distribution over the extended vocab, given emitted ids.
+    """step_fn(prefixes) -> [len(prefixes), V_ext]: the next-token
+    distribution over the extended vocab after each emitted-id prefix.
 
     Source + SEP run once to fill a K/V cache and fix h_src (causality). A
-    prefix extends the (cache, h_t) state of its longest cached ancestor,
-    by one id in search order; states over one id shorter than the prefix
-    just computed are dropped, except the root."""
+    prefix extends the (cache, h_t) state of its longest cached ancestor;
+    prefixes with equal ancestor and own lengths run as one forward over
+    their parents' stacked caches [g, H, T, d_head]. States over one id
+    shorter than the longest prefix computed are dropped, except the root,
+    so any call order works."""
     v = config.vocab_size
-    s = len(source_ids)
     root = []
     hidden = forward_hidden(params, list(source_ids) + [SEP], config,
-                            cache=root)
-    h_src = ops.take_rows(hidden, np.arange(s))
-    states = {(): (root, ops.take_rows(hidden, [s]))}
+                            cache=root).data
+    h_src = Tensor(hidden[:-1])
+    states = {(): (root, hidden[-1])}
 
-    def step_fn(emitted_ids):
-        key = tuple(emitted_ids)
-        n = len(key)
-        while key[:n] not in states:
-            n -= 1
-        cache, h_t = states[key[:n]]
-        if n < len(key):
-            cache = list(cache)  # the ancestor's arrays stay intact
-            feed = [UNK if i >= v else i for i in key[n:]]
-            hidden = forward_hidden(params, feed, config, cache=cache)
-            h_t = ops.take_rows(hidden, [len(feed) - 1])
-            for old in [p for p in states if 0 < len(p) < len(key) - 1]:
-                del states[old]
-            states[key] = (cache, h_t)
+    def step_fn(prefixes):
+        keys = [tuple(p) for p in prefixes]
+        groups = {}  # (ancestor length, own length) -> prefixes
+        for key in keys:
+            n = len(key)
+            while key[:n] not in states:
+                n -= 1
+            if n < len(key):
+                groups.setdefault((n, len(key)), []).append(key)
+        for (n, _), members in groups.items():
+            cache = _stacked([states[key[:n]][0] for key in members])
+            feed = [[UNK if i >= v else i for i in key[n:]]
+                    for key in members]
+            hidden = forward_hidden(params, feed, config, cache=cache).data
+            for j, key in enumerate(members):
+                states[key] = ([(k[j], vv[j]) for k, vv in cache],
+                               hidden[j, -1])
+        h_t = Tensor(np.stack([states[key][1] for key in keys]))
+        longest = max((m for _, m in groups), default=0)
+        for old in [p for p in states if 0 < len(p) < longest - 1]:
+            del states[old]
         _, _, mixed = pointer_head(params, h_src, h_t, source_ext_ids,
                                    oov_count, config)
-        return mixed.data[0]
+        return mixed.data
 
     return step_fn
 
@@ -91,7 +106,7 @@ def greedy_search(step_fn, max_len):
     out = []
     log_prob = 0.0
     for _ in range(max_len):
-        dist = step_fn(out)
+        dist = step_fn([out])[0]
         nxt = int(np.argmax(dist))
         log_prob += math.log(max(float(dist[nxt]), 1e-12))
         if nxt == EOS:
@@ -106,19 +121,13 @@ def beam_search(step_fn, max_len, beam_width, alpha=0.0):
     finished = []
     for _ in range(max_len):
         candidates = []
-        for hyp in beams:
-            emitted = [i for i in hyp.ids]
-            dist = step_fn(emitted)
-            top = np.argsort(-dist, kind="stable")[:beam_width]
-            for nxt in top:
-                nxt = int(nxt)
+        for hyp, dist in zip(beams, step_fn([hyp.ids for hyp in beams])):
+            for nxt in np.argsort(-dist, kind="stable")[:beam_width].tolist():
                 lp = hyp.log_prob + math.log(max(float(dist[nxt]), 1e-12))
-                candidates.append(
-                    Hypothesis(hyp.ids + (nxt,), lp, nxt == EOS))
+                candidates.append(Hypothesis(hyp.ids + (nxt,), lp, nxt == EOS))
         candidates.sort(key=lambda h: (-h.score(alpha), h.ids))
-        kept = candidates[:beam_width]
         beams = []
-        for hyp in kept:
+        for hyp in candidates[:beam_width]:
             (finished if hyp.finished else beams).append(hyp)
         if not beams:
             break

@@ -102,41 +102,34 @@ def _causal_mask(t_len, dtype, t_past=0):
 
 
 def _attention(params, prefix, x, config, mask, cache=None, layer=0):
-    """Causal self-attention with every head in one [H, T, d_head] op."""
+    """Causal self-attention with every head in one [..., H, T, d_head] op."""
     n_heads = config.n_heads
     scale = 1.0 / math.sqrt(config.d_model // n_heads)
-    q = ops.add(ops.matmul(x, params[prefix + "wq"]), params[prefix + "bq"])
-    k = ops.add(ops.matmul(x, params[prefix + "wk"]), params[prefix + "bk"])
-    v = ops.add(ops.matmul(x, params[prefix + "wv"]), params[prefix + "bv"])
-    qh, kh, vh = (ops.split_heads(t, n_heads) for t in (q, k, v))
+    qh, kh, vh = (ops.split_heads(ops.linear(x, params[prefix + "w" + n],
+                                             params[prefix + "b" + n]),
+                                  n_heads) for n in "qkv")
     if cache is not None:  # attend over the cached rows, then store all
         if layer < len(cache):
-            past_k, past_v = cache[layer]
-            kh = Tensor(np.concatenate([past_k, kh.data], axis=1))
-            vh = Tensor(np.concatenate([past_v, vh.data], axis=1))
-            cache[layer] = (kh.data, vh.data)
-        else:
-            cache.append((kh.data, vh.data))
-    scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
-    attn = ops.softmax_rows(ops.add_const(scores, mask))
-    merged = ops.merge_heads(ops.matmul(attn, vh))
-    return ops.add(ops.matmul(merged, params[prefix + "wo"]),
-                   params[prefix + "bo"])
+            kh, vh = (Tensor(np.concatenate([past, new.data], axis=-2))
+                      for past, new in zip(cache[layer], (kh, vh)))
+        cache[layer:layer + 1] = [(kh.data, vh.data)]
+    merged = ops.merge_heads(ops.causal_attention(qh, kh, vh, mask, scale))
+    return ops.linear(merged, params[prefix + "wo"], params[prefix + "bo"])
 
 
 def forward_hidden(params, input_ids, config, rng=None, cache=None):
-    """Hidden states [T x d_model]; hidden[t] depends only on ids[0..t].
-    Dropout at ``config.dropout_rate`` runs only when ``rng`` is given.
+    """Hidden states [..., T, d_model] of ids [..., T]; hidden[..., t] depends
+    only on ids[..., :t + 1]. Dropout runs only when ``rng`` is given.
 
     ``cache`` (inference only; empty at first) is a list of per-layer (K, V)
-    arrays [H, T_past, d_head]; the ids continue at position T_past."""
+    arrays [..., H, T_past, d_head]; the ids continue at position T_past."""
     if cache is not None and active_tape() is not None:
         raise ContractError("forward_hidden with a cache cannot run under a "
                             "Tape: the K/V concatenation has no backward")
     ids = np.asarray(input_ids, dtype=np.int64)
-    t_len = ids.shape[0]
-    t_past = cache[0][0].shape[1] if cache else 0
-    if t_len == 0:
+    t_len = ids.shape[-1]
+    t_past = cache[0][0].shape[-2] if cache else 0
+    if ids.size == 0:
         raise ContractError("empty input sequence")
     if t_past + t_len > config.max_seq_len:
         raise ValueError("sequence length %d exceeds max_seq_len %d"
@@ -155,17 +148,14 @@ def forward_hidden(params, input_ids, config, rng=None, cache=None):
         normed = ops.layer_norm(x, params[p + "ln1.gain"],
                                 params[p + "ln1.bias"])
         a = _attention(params, p + "attn.", normed, config, mask, cache, i)
-        if drop > 0.0:
-            a = ops.dropout(a, drop, rng)
+        a = ops.dropout(a, drop, rng)
         x = ops.add(x, a)
         normed = ops.layer_norm(x, params[p + "ln2.gain"],
                                 params[p + "ln2.bias"])
-        m = ops.matmul(normed, params[p + "mlp.w_in"])
-        m = ops.gelu(ops.add(m, params[p + "mlp.b_in"]))
-        m = ops.add(ops.matmul(m, params[p + "mlp.w_out"]),
-                    params[p + "mlp.b_out"])
-        if drop > 0.0:
-            m = ops.dropout(m, drop, rng)
+        m = ops.gelu(ops.linear(normed, params[p + "mlp.w_in"],
+                                params[p + "mlp.b_in"]))
+        m = ops.linear(m, params[p + "mlp.w_out"], params[p + "mlp.b_out"])
+        m = ops.dropout(m, drop, rng)
         x = ops.add(x, m)
     return ops.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 

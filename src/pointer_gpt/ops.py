@@ -56,16 +56,6 @@ def affine(x, scale=1.0, shift=0.0):
     return make_output(out, (x,), bwd)
 
 
-def add_const(x, const):
-    """x + const where const is a plain array (no grad)."""
-    out = x.data + np.asarray(const, dtype=x.dtype)
-
-    def bwd(g):
-        return (g,)
-
-    return make_output(out, (x,), bwd)
-
-
 def matmul(a, b):
     """Product over the last two axes; leading (batch) axes must match."""
     ad, bd = a.data, b.data
@@ -81,6 +71,19 @@ def matmul(a, b):
         return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return make_output(out, (a, b), bwd)
+
+
+def linear(x, w, b):
+    """x @ w + b over any leading axes of x, as one tape record."""
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
+
+    def bwd(g):
+        xt = xd.reshape(-1, xd.shape[-1]).swapaxes(-1, -2)
+        return (g @ wd.swapaxes(-1, -2), xt @ g.reshape(-1, g.shape[-1]),
+                _unbroadcast(g, b.data.shape))
+
+    return make_output(out, (x, w, b), bwd)
 
 
 def transpose(x):
@@ -121,16 +124,23 @@ def sigmoid(x):
     return make_output(out, (x,), bwd)
 
 
+def _softmax(xd):
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g, out):
+    """Gradient through a softmax over the last axis, given its output."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return (g - dot) * out
+
+
 def softmax_rows(x):
     """Row-wise softmax with max subtraction; rows sum to 1."""
-    xd = x.data
-    shifted = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data)
 
     def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - dot) * out,)
+        return (_softmax_grad(g, out),)
 
     return make_output(out, (x,), bwd)
 
@@ -173,25 +183,42 @@ def take_rows(table, indices):
 
 
 def split_heads(x, n_heads):
-    """[T, d] -> [H, T, d / H]; head h holds columns [h*d/H, (h+1)*d/H)."""
-    t_len, d = x.data.shape
-    out = x.data.reshape(t_len, n_heads, d // n_heads).transpose(1, 0, 2)
+    """[..., T, d] -> [..., H, T, d/H]; head h gets columns [h, h+1) * d/H."""
+    *lead, t_len, d = x.data.shape
+    out = x.data.reshape(*lead, t_len, n_heads, d // n_heads).swapaxes(-3, -2)
 
     def bwd(g):
-        return (g.transpose(1, 0, 2).reshape(t_len, d),)
+        return (g.swapaxes(-3, -2).reshape(*lead, t_len, d),)
 
     return make_output(out, (x,), bwd)
 
 
 def merge_heads(x):
-    """[H, T, d_head] -> [T, H * d_head]; the inverse of split_heads."""
-    n_heads, t_len, d_head = x.data.shape
-    out = x.data.transpose(1, 0, 2).reshape(t_len, n_heads * d_head)
+    """[..., H, T, d_head] -> [..., T, H * d_head]; inverts split_heads."""
+    *lead, n_heads, t_len, d_head = x.data.shape
+    out = x.data.swapaxes(-3, -2).reshape(*lead, t_len, n_heads * d_head)
 
     def bwd(g):
-        return (g.reshape(t_len, n_heads, d_head).transpose(1, 0, 2),)
+        return (g.reshape(*lead, t_len, n_heads, d_head).swapaxes(-3, -2),)
 
     return make_output(out, (x,), bwd)
+
+
+def causal_attention(q, k, v, mask, scale):
+    """softmax(scale * q @ k^T + mask) @ v for q [..., T, d], k and v
+    [..., S, d]; the plain array mask [T, S] is 0 where a query may attend
+    and a large negative number where it may not."""
+    qd, kd, vd = q.data, k.data, v.data
+    attn = _softmax(scale * (qd @ kd.swapaxes(-1, -2)) + mask)
+    out = attn @ vd
+
+    def bwd(g):
+        ds = scale * _softmax_grad(g @ vd.swapaxes(-1, -2), attn)
+        # (q^T ds)^T, not ds^T q: the same rounding as matmul + transpose
+        return (ds @ kd, (qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2),
+                attn.swapaxes(-1, -2) @ g)
+
+    return make_output(out, (q, k, v), bwd)
 
 
 def pad_cols(x, extra):

@@ -251,6 +251,11 @@ def _tabular_step_fn(emitted):
     return np.asarray(dist)
 
 
+def _batched(step_fn):
+    """Lift a one-prefix step function to step_fn(prefixes) -> rows."""
+    return lambda prefixes: np.stack([step_fn(p) for p in prefixes])
+
+
 def _enumerate_best(step_fn, max_len, width):
     best = (-math.inf, None)
 
@@ -285,8 +290,8 @@ def test_criterion_9_decoder_consistency():
                 beam = beam_search(step_fn, 6, beam_width=k)
                 assert beam.log_prob >= greedy.log_prob - 1e-9
 
-    greedy = greedy_search(_tabular_step_fn, 3)
-    beam = beam_search(_tabular_step_fn, 3, beam_width=2)
+    greedy = greedy_search(_batched(_tabular_step_fn), 3)
+    beam = beam_search(_batched(_tabular_step_fn), 3, beam_width=2)
     best_lp, best_ids = _enumerate_best(_tabular_step_fn, 3, 6)
     assert beam.log_prob > greedy.log_prob
     assert beam.ids == best_ids

@@ -9,7 +9,7 @@ from pointer_gpt.decoder import (
     DecodeConfig, Hypothesis, beam_search, greedy_decode, greedy_search,
     make_step_fn,
 )
-from pointer_gpt import model
+from pointer_gpt import decoder, model
 from pointer_gpt.model import (NEG_INF, ModelConfig, forward_hidden,
                                init_params, pointer_step)
 from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab, decode
@@ -38,6 +38,11 @@ def tabular_step_fn(emitted):
     return np.asarray(dist)
 
 
+def batched(step_fn):
+    """Lift a one-prefix step function to step_fn(prefixes) -> rows."""
+    return lambda prefixes: np.stack([step_fn(p) for p in prefixes])
+
+
 def enumerate_best(step_fn, max_len, width):
     """Exhaustive search over all id sequences up to max_len."""
     best = (-math.inf, None)
@@ -61,21 +66,21 @@ def enumerate_best(step_fn, max_len, width):
 
 class TestBeamOnTabularModel:
     def test_beam_2_beats_greedy(self):
-        greedy = greedy_search(tabular_step_fn, 3)
-        beam = beam_search(tabular_step_fn, 3, beam_width=2)
+        greedy = greedy_search(batched(tabular_step_fn), 3)
+        beam = beam_search(batched(tabular_step_fn), 3, beam_width=2)
         assert beam.log_prob > greedy.log_prob
         assert greedy.ids == (5, 0, EOS)
         assert beam.ids == (4, 5, EOS)
 
     def test_beam_matches_exhaustive_enumeration(self):
         best_lp, best_ids = enumerate_best(tabular_step_fn, 3, 6)
-        beam = beam_search(tabular_step_fn, 3, beam_width=2)
+        beam = beam_search(batched(tabular_step_fn), 3, beam_width=2)
         assert beam.ids == best_ids
         assert beam.log_prob == pytest.approx(best_lp)
 
     def test_beam_1_equals_greedy_on_table(self):
-        greedy = greedy_search(tabular_step_fn, 3)
-        beam = beam_search(tabular_step_fn, 3, beam_width=1)
+        greedy = greedy_search(batched(tabular_step_fn), 3)
+        beam = beam_search(batched(tabular_step_fn), 3, beam_width=1)
         assert beam.ids == greedy.ids
         assert beam.log_prob == pytest.approx(greedy.log_prob)
 
@@ -162,19 +167,46 @@ def cached_mismatches(seeds):
     for seed in seeds:
         params, src, oov_ext, cfg = criterion_9_model(seed)
         for ext, oov_count in ((src, 0), (oov_ext, 1)):
-            ref = full_prefix_step_fn(params, src, ext, oov_count, cfg)
+            ref = batched(full_prefix_step_fn(params, src, ext, oov_count,
+                                              cfg))
             step_fn = make_step_fn(params, src, ext, oov_count, cfg)
             queried = []
 
-            def cached(emitted):
-                dist = step_fn(emitted)
-                queried.append((list(emitted), dist))
-                return dist
+            def cached(prefixes):
+                dists = step_fn(prefixes)
+                queried.append(([tuple(p) for p in prefixes], dists))
+                return dists
 
             same_ids = all(search(cached).ids == search(ref).ids
                            for search in SEARCHES)
-            worst = max(np.abs(dist - ref(e)).max() for e, dist in queried)
+            worst = max(np.abs(dists - ref(ps)).max() for ps, dists in queried)
             if not same_ids or worst > 1e-6:
+                bad.append((seed, oov_count))
+    return bad
+
+
+def batch_mismatches(seeds):
+    """(seed, oov_count) cases where one step_fn call over the k prefixes
+    beam-4 asks for departs by more than 1e-6 from k single-prefix calls
+    on a second step_fn, or where the beam-4 ids differ."""
+    bad = []
+    for seed in seeds:
+        params, src, oov_ext, cfg = criterion_9_model(seed)
+        for ext, oov_count in ((src, 0), (oov_ext, 1)):
+            step_fn = make_step_fn(params, src, ext, oov_count, cfg)
+            single = make_step_fn(params, src, ext, oov_count, cfg)
+            worst = 0.0
+
+            def both(prefixes):
+                nonlocal worst
+                rows = np.concatenate([single([p]) for p in prefixes])
+                dists = step_fn(prefixes)
+                worst = max(worst, np.abs(dists - rows).max())
+                return rows
+
+            ids = beam_search(both, 6, beam_width=4).ids
+            fresh = make_step_fn(params, src, ext, oov_count, cfg)
+            if worst > 1e-6 or beam_search(fresh, 6, beam_width=4).ids != ids:
                 bad.append((seed, oov_count))
     return bad
 
@@ -193,6 +225,39 @@ class TestIncrementalDecoding:
         monkeypatch.setattr(model, "_causal_mask", off_by_one)
         assert len(cached_mismatches(range(20))) == 40
 
+    def test_batched_step_matches_single_prefix_calls_on_20_models(self):
+        assert batch_mismatches(range(20)) == []
+
+    def test_wrong_parent_cache_is_caught(self, monkeypatch):
+        # mutation control: each hypothesis extends its neighbour's cache
+        stacked = decoder._stacked
+        monkeypatch.setattr(decoder, "_stacked",
+                            lambda caches: stacked(caches[1:] + caches[:1]))
+        assert len(batch_mismatches(range(20))) == 40
+
+    def test_beam_runs_one_forward_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return forward_hidden(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "forward_hidden", counted)
+        for seed in range(8):
+            params, src, ext, cfg = criterion_9_model(seed)
+            steps = []
+            step_fn = make_step_fn(params, src, ext, 1, cfg)
+
+            def counted_steps(prefixes):
+                steps.append(len(prefixes))
+                return step_fn(prefixes)
+
+            beam = beam_search(counted_steps, 6, beam_width=4)
+            # the source fill, then one forward per step after the first
+            assert len(calls) == len(steps), beam.ids
+            assert [shape[0] for shape in calls[1:]] == steps[1:]
+            calls.clear()
+
     def test_out_of_order_queries_match_a_fresh_step_fn(self):
         for seed in range(8):
             params, src, ext, cfg = criterion_9_model(seed)
@@ -205,11 +270,16 @@ class TestIncrementalDecoding:
             beam = beam_search(step_fn, 6, beam_width=4)
             assert greedy.ids == greedy_search(fresh(), 6).ids
             assert beam.ids == beam_search(fresh(), 6, beam_width=4).ids
-            for prefix in (greedy.ids[:1], (), beam.ids[:3], greedy.ids,
-                           beam.ids[:3]):
-                np.testing.assert_allclose(step_fn(list(prefix)),
-                                           fresh()(list(prefix)),
+            prefixes = [greedy.ids[:1], (), beam.ids[:3], greedy.ids,
+                        beam.ids[:3]]
+            for prefix in prefixes:
+                np.testing.assert_allclose(step_fn([prefix]),
+                                           fresh()([prefix]),
                                            rtol=0, atol=1e-6)
+            np.testing.assert_allclose(
+                step_fn(prefixes),
+                np.concatenate([fresh()([p]) for p in prefixes]),
+                rtol=0, atol=1e-6)
 
 
 class TestForcedCopy:

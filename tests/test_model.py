@@ -7,7 +7,7 @@ from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import (
     ModelConfig, _attention, _causal_mask, init_params, forward_hidden,
-    pointer_step, sequence_loss, teacher_forced_ids,
+    param_specs, pointer_step, sequence_loss, teacher_forced_ids,
 )
 from pointer_gpt.tensor import ContractError, Tape, Tensor, backward
 from pointer_gpt.tokenizer import EOS, SEP, UNK, EncodedExample
@@ -231,6 +231,54 @@ class TestBatchedAttention:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-6,
                                        atol=1e-12, err_msg=name)
+
+
+def op_chain_linear(x, w, b):
+    return ops.add(ops.matmul(x, w), b)
+
+
+def op_chain_attention(q, k, v, mask, scale):
+    scores = ops.affine(ops.matmul(q, ops.transpose(k)), scale)
+    return ops.matmul(ops.softmax_rows(ops.add(scores, Tensor(mask))), v)
+
+
+class TestFusedOpsBitIdentity:
+    """linear and causal_attention against the op chains they replace."""
+
+    def _hidden_and_grads(self, dtype):
+        # heads of 32: scale 1/sqrt(32) is no power of two, so where the
+        # backward applies it changes the rounding
+        cfg = ModelConfig(vocab_size=60, d_model=64, n_heads=2, n_layers=2,
+                          d_ff=128, max_seq_len=64, seed=5)
+        params = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(0)
+        for t in params.values():  # nonzero biases, unequal gains
+            t.data += rng.normal(0.0, 0.05, size=t.shape).astype(dtype)
+        src = [int(i) for i in rng.integers(5, 60, size=40)] + [EOS]
+        ex = EncodedExample(source_ids=src,
+                            source_ext_ids=src[:3] + [60] + src[4:],
+                            oov=["x"], target_ext_ids=[7, 60] + [9] * 13
+                            + [EOS])
+        ids = teacher_forced_ids(ex, cfg.vocab_size)
+        assert len(ids) == 57
+        with Tape() as tape:
+            loss = sequence_loss(params, ex, cfg)
+        grads = backward(tape, loss)
+        return ([forward_hidden(params, ids, cfg).data, loss.data]
+                + [grads[t] for t in params.values()])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hidden_and_gradients_byte_equal_at_t57(self, dtype,
+                                                    monkeypatch):
+        fused = self._hidden_and_grads(dtype)
+        monkeypatch.setattr(ops, "linear", op_chain_linear)
+        monkeypatch.setattr(ops, "causal_attention", op_chain_attention)
+        chain = self._hidden_and_grads(dtype)
+        assert len(fused) == len(chain) == 2 + len(param_specs(
+            ModelConfig(vocab_size=60, n_layers=2)))
+        for got, want in zip(fused, chain):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPointerStep:

@@ -5,6 +5,7 @@ import pytest
 
 from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
+from pointer_gpt.model import _causal_mask
 from pointer_gpt.optim import AdamState, adam_step, clip_grad_norm
 from pointer_gpt.tensor import ContractError, ShapeError, Tape, Tensor, backward
 
@@ -88,6 +89,91 @@ class TestHeads:
         err = gradcheck(
             lambda a: ops.sum_all(ops.mul(ops.merge_heads(a), Tensor(w))), x)
         assert err < 1e-6
+
+
+    def test_batched_matches_per_slice(self):
+        x = np.random.default_rng(24).normal(size=(3, 5, 8))
+        split = ops.split_heads(Tensor(x), 4).data
+        merged = ops.merge_heads(Tensor(split)).data
+        assert split.shape == (3, 4, 5, 2)
+        for b in range(3):
+            np.testing.assert_array_equal(
+                split[b], ops.split_heads(Tensor(x[b]), 4).data)
+        np.testing.assert_array_equal(merged, x)
+
+    def test_batched_gradcheck(self):
+        rng = np.random.default_rng(25)
+        x = t64(rng.normal(size=(2, 3, 8)))
+        w = np.asarray(rng.normal(size=(2, 3, 8)))
+        err = gradcheck(
+            lambda a: ops.sum_all(ops.mul(
+                ops.merge_heads(ops.affine(ops.split_heads(a, 4), 2.0)),
+                Tensor(w))), x)
+        assert err < 1e-6
+
+
+class TestLinear:
+    def test_equals_matmul_plus_bias(self):
+        rng = np.random.default_rng(26)
+        x, w, b = (Tensor(rng.normal(size=s).astype(np.float32))
+                   for s in ((7, 4), (4, 3), (3,)))
+        np.testing.assert_array_equal(
+            ops.linear(x, w, b).data, ops.add(ops.matmul(x, w), b).data)
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_gradcheck(self, x_shape):
+        rng = np.random.default_rng(27)
+        x, w, b = (t64(rng.normal(size=s)) for s in (x_shape, (4, 3), (3,)))
+        r = np.asarray(rng.normal(size=x_shape[:-1] + (3,)))
+        err = gradcheck(
+            lambda *a: ops.sum_all(ops.mul(ops.linear(*a), Tensor(r))),
+            [x, w, b])
+        assert err < 1e-6
+
+
+def attention_inputs(seed, lead, t_len, t_past):
+    """q [*lead, T, 3] and k, v [*lead, t_past + T, 3] in float64, the
+    causal mask offset by t_past, and a random cotangent for the output."""
+    rng = np.random.default_rng(seed)
+    q = t64(rng.normal(size=lead + (t_len, 3)))
+    k, v = (t64(rng.normal(size=lead + (t_past + t_len, 3)))
+            for _ in range(2))
+    mask = _causal_mask(t_len, np.float64, t_past)
+    return q, k, v, mask, np.asarray(rng.normal(size=q.shape))
+
+
+def attention_gradcheck_error(lead, t_past):
+    q, k, v, mask, r = attention_inputs(28, lead, 4, t_past)
+    return gradcheck(
+        lambda *a: ops.sum_all(ops.mul(
+            ops.causal_attention(*a, mask, 0.6), Tensor(r))), [q, k, v])
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("lead", [(2,), (3, 2)])
+    @pytest.mark.parametrize("t_past", [0, 3])
+    def test_gradcheck(self, lead, t_past):
+        assert attention_gradcheck_error(lead, t_past) < 1e-6
+
+    def test_dropped_softmax_dot_term_is_caught(self, monkeypatch):
+        # mutation control: the softmax backward without its - dot term
+        monkeypatch.setattr(ops, "_softmax_grad", lambda g, out: g * out)
+        assert attention_gradcheck_error((2,), 3) > 1e-2
+
+    def test_matches_the_op_chain(self):
+        q, k, v, mask, _ = attention_inputs(29, (2,), 5, 2)
+        scores = ops.affine(ops.matmul(q, ops.transpose(k)), 0.6)
+        chain = ops.matmul(ops.softmax_rows(ops.add(scores, Tensor(mask))), v)
+        np.testing.assert_array_equal(
+            ops.causal_attention(q, k, v, mask, 0.6).data, chain.data)
+
+    def test_batched_matches_per_slice(self):
+        q, k, v, mask, _ = attention_inputs(31, (3, 2), 4, 3)
+        out = ops.causal_attention(q, k, v, mask, 0.6).data
+        for b in range(3):
+            one = ops.causal_attention(*(Tensor(t.data[b]) for t in (q, k, v)),
+                                       mask, 0.6).data
+            np.testing.assert_allclose(out[b], one, rtol=1e-12)
 
 
 class TestSoftmaxRows:
