@@ -14,6 +14,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -40,7 +41,7 @@ def save_checkpoint(params, config, path):
                          "offset": offset})
         offset += len(blob)
         blobs.append(blob)
-    header = json.dumps({"config": config.to_dict(),
+    header = json.dumps({"config": asdict(config),
                          "manifest": manifest}).encode("utf-8")
 
     directory = os.path.dirname(os.path.abspath(path))
@@ -82,7 +83,7 @@ def load_checkpoint(path):
         raise CheckpointError("%s is truncated (incomplete header)" % path)
     try:
         header = json.loads(raw[12:header_end].decode("utf-8"))
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
         manifest = header["manifest"]
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError("corrupt checkpoint header: %s" % e) from e

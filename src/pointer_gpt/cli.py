@@ -11,7 +11,7 @@ import sys
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DatasetError, load_dataset, split_by_index
 from .decoder import DecodeConfig, beam_decode, greedy_decode
-from .model import ModelConfig, init_params
+from .model import ModelConfig, init_params, positions_needed
 from .rouge import format_report_table, rouge_report
 from .tokenizer import (Vocabulary, build_vocab, decode, encode_example,
                         encode_source)
@@ -93,7 +93,7 @@ def _prepare_corpus(records, cfg, seed, baseline):
     examples = []
     for i, rec in enumerate(records):
         ex = encode_example(rec.source, rec.summary, vocab)
-        need = len(ex.source_ids) + len(ex.target_ext_ids) + 1
+        need = positions_needed(len(ex.source_ids), len(ex.target_ext_ids))
         if need > model_cfg.max_seq_len:
             raise CliError("record %d needs %d positions but max_seq_len "
                            "is %d" % (i, need, model_cfg.max_seq_len))

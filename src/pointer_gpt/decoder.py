@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import forward_hidden, pointer_head
+from .model import feed_ids, forward_hidden, pointer_head, positions_needed
 from .tensor import Tensor
-from .tokenizer import EOS, SEP, UNK
+from .tokenizer import EOS, SEP
 
 
 @dataclass
@@ -57,7 +57,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     Source + SEP run once to fill a K/V cache and fix h_src (causality). A
     prefix extends the (cache, h_t) state of its longest cached ancestor;
     prefixes with equal ancestor and own lengths run as one forward over
-    their parents' stacked caches [g, H, T, d_head]. States over one id
+    their parents' stacked caches [g, T, d_model]. States over one id
     shorter than the longest prefix computed are dropped, except the root,
     so any call order works."""
     v = config.vocab_size
@@ -78,8 +78,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
                 groups.setdefault((n, len(key)), []).append(key)
         for (n, _), members in groups.items():
             cache = _stacked([states[key[:n]][0] for key in members])
-            feed = [[UNK if i >= v else i for i in key[n:]]
-                    for key in members]
+            feed = [feed_ids(key[n:], v) for key in members]
             hidden = forward_hidden(params, feed, config, cache=cache).data
             for j, key in enumerate(members):
                 states[key] = ([(k[j], vv[j]) for k, vv in cache],
@@ -96,8 +95,9 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
 
 
 def max_steps_within(config, source_len, requested):
-    """Cap decode length so the model input stays within max_seq_len."""
-    room = config.max_seq_len - source_len - 1
+    """Cap decode length so the model input stays within max_seq_len; n
+    steps take positions_needed(source_len, n) positions."""
+    room = config.max_seq_len - positions_needed(source_len, 0)
     return max(1, min(requested, room))
 
 

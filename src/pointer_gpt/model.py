@@ -9,8 +9,7 @@ source words outside the vocabulary stay reachable via their extended ids.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +43,6 @@ class ModelConfig:
             raise ValueError("max_seq_len must be at least 8")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def param_specs(config):
@@ -102,19 +94,16 @@ def _causal_mask(t_len, dtype, t_past=0):
 
 
 def _attention(params, prefix, x, config, mask, cache=None, layer=0):
-    """Causal self-attention with every head in one [..., H, T, d_head] op."""
-    n_heads = config.n_heads
-    scale = 1.0 / math.sqrt(config.d_model // n_heads)
-    qh, kh, vh = (ops.split_heads(ops.linear(x, params[prefix + "w" + n],
-                                             params[prefix + "b" + n]),
-                                  n_heads) for n in "qkv")
+    """Causal self-attention with every head in one op."""
+    q, k, v = (ops.linear(x, params[prefix + "w" + n],
+                          params[prefix + "b" + n]) for n in "qkv")
     if cache is not None:  # attend over the cached rows, then store all
         if layer < len(cache):
-            kh, vh = (Tensor(np.concatenate([past, new.data], axis=-2))
-                      for past, new in zip(cache[layer], (kh, vh)))
-        cache[layer:layer + 1] = [(kh.data, vh.data)]
-    merged = ops.merge_heads(ops.causal_attention(qh, kh, vh, mask, scale))
-    return ops.linear(merged, params[prefix + "wo"], params[prefix + "bo"])
+            k, v = (Tensor(np.concatenate([past, new.data], axis=-2))
+                    for past, new in zip(cache[layer], (k, v)))
+        cache[layer:layer + 1] = [(k.data, v.data)]
+    return ops.linear(ops.causal_attention(q, k, v, mask, config.n_heads),
+                      params[prefix + "wo"], params[prefix + "bo"])
 
 
 def forward_hidden(params, input_ids, config, rng=None, cache=None):
@@ -122,7 +111,7 @@ def forward_hidden(params, input_ids, config, rng=None, cache=None):
     only on ids[..., :t + 1]. Dropout runs only when ``rng`` is given.
 
     ``cache`` (inference only; empty at first) is a list of per-layer (K, V)
-    arrays [..., H, T_past, d_head]; the ids continue at position T_past."""
+    arrays [..., T_past, d_model]; the ids continue at position T_past."""
     if cache is not None and active_tape() is not None:
         raise ContractError("forward_hidden with a cache cannot run under a "
                             "Tape: the K/V concatenation has no backward")
@@ -220,10 +209,23 @@ def pointer_step(params, hidden, step, source_len, source_ext_ids,
                          mixed=mixed.data[0].copy())
 
 
+def positions_needed(source_len, summary_len):
+    """Positions a source and a summary (EOS included) take in the model
+    input: the source, SEP and every summary id but the last, which is
+    only predicted."""
+    return source_len + summary_len
+
+
+def feed_ids(ext_ids, vocab_size):
+    """Emitted extended ids as model input: an id >= vocab_size (a copied
+    source word) has no embedding row, so it feeds back as UNK."""
+    return [UNK if i >= vocab_size else i for i in ext_ids]
+
+
 def teacher_forced_ids(example, vocab_size):
     """Model input [source, SEP, gold summary prefix] in plain vocab ids."""
-    feed = [UNK if i >= vocab_size else i for i in example.target_ext_ids[:-1]]
-    return list(example.source_ids) + [SEP] + feed
+    return (list(example.source_ids) + [SEP]
+            + feed_ids(example.target_ext_ids[:-1], vocab_size))
 
 
 def sequence_loss(params, example, config, rng=None):
@@ -233,10 +235,11 @@ def sequence_loss(params, example, config, rng=None):
     n = len(example.target_ext_ids)
     if n < 1:
         raise ContractError("example has an empty target")
-    input_ids = teacher_forced_ids(example, config.vocab_size)
-    if len(input_ids) > config.max_seq_len:
+    need = positions_needed(s, n)
+    if need > config.max_seq_len:
         raise ValueError("encoded example length %d exceeds max_seq_len %d"
-                         % (len(input_ids), config.max_seq_len))
+                         % (need, config.max_seq_len))
+    input_ids = teacher_forced_ids(example, config.vocab_size)
     hidden = forward_hidden(params, input_ids, config, rng=rng)
     _, _, mixed = pointer_head(
         params, ops.take_rows(hidden, np.arange(s)),

@@ -182,41 +182,31 @@ def take_rows(table, indices):
     return make_output(out, (table,), bwd)
 
 
-def split_heads(x, n_heads):
-    """[..., T, d] -> [..., H, T, d/H]; head h gets columns [h, h+1) * d/H."""
-    *lead, t_len, d = x.data.shape
-    out = x.data.reshape(*lead, t_len, n_heads, d // n_heads).swapaxes(-3, -2)
+def causal_attention(q, k, v, mask, n_heads):
+    """Multi-head softmax(q_h @ k_h^T / sqrt(d_head) + mask) @ v_h for q
+    [..., T, d] and k, v [..., S, d], returned as [..., T, d]. Head h owns
+    columns [h, h+1) * d_head of each. The plain array mask [T, S] is 0
+    where a query may attend and a large negative number where it may not."""
+    d = q.data.shape[-1]
+    d_head = d // n_heads
+    scale = 1.0 / math.sqrt(d_head)
 
-    def bwd(g):
-        return (g.swapaxes(-3, -2).reshape(*lead, t_len, d),)
+    def split(x):  # [..., T, d] -> [..., H, T, d_head]
+        return x.reshape(*x.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
 
-    return make_output(out, (x,), bwd)
+    def merge(x):  # [..., H, T, d_head] -> [..., T, d]
+        return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], d)
 
-
-def merge_heads(x):
-    """[..., H, T, d_head] -> [..., T, H * d_head]; inverts split_heads."""
-    *lead, n_heads, t_len, d_head = x.data.shape
-    out = x.data.swapaxes(-3, -2).reshape(*lead, t_len, n_heads * d_head)
-
-    def bwd(g):
-        return (g.reshape(*lead, t_len, n_heads, d_head).swapaxes(-3, -2),)
-
-    return make_output(out, (x,), bwd)
-
-
-def causal_attention(q, k, v, mask, scale):
-    """softmax(scale * q @ k^T + mask) @ v for q [..., T, d], k and v
-    [..., S, d]; the plain array mask [T, S] is 0 where a query may attend
-    and a large negative number where it may not."""
-    qd, kd, vd = q.data, k.data, v.data
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
     attn = _softmax(scale * (qd @ kd.swapaxes(-1, -2)) + mask)
-    out = attn @ vd
+    out = merge(attn @ vd)
 
     def bwd(g):
+        g = split(g)
         ds = scale * _softmax_grad(g @ vd.swapaxes(-1, -2), attn)
         # (q^T ds)^T, not ds^T q: the same rounding as matmul + transpose
-        return (ds @ kd, (qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2),
-                attn.swapaxes(-1, -2) @ g)
+        dk = (qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
+        return merge(ds @ kd), merge(dk), merge(attn.swapaxes(-1, -2) @ g)
 
     return make_output(out, (q, k, v), bwd)
 

@@ -315,6 +315,28 @@ class TestCliTrain:
         assert len(err.splitlines()) == 1
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("summary, code", [
+        ("a b c d e", 0), ("a b c d e f", 1)], ids=["fits", "one-over"])
+    def test_length_limit(self, tmp_path, capsys, summary, code):
+        # 9 source words + EOS and 5 summary words + EOS take 10 + 6 = 16
+        # positions: the source, SEP and the summary without its EOS
+        data = tmp_path / "data.jsonl"
+        save_dataset([DatasetRecord("a b c d e f g h i", summary)],
+                     str(data))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {
+            "d_model": 8, "n_heads": 2, "n_layers": 1, "d_ff": 8,
+            "max_seq_len": 16}, "train": {"epochs": 1}}))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--config", str(config)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and (out / "model.ckpt").exists()
+        else:
+            assert err == ("error: record 0 needs 17 positions but "
+                           "max_seq_len is 16\n")
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

@@ -309,6 +309,21 @@ class TestForcedCopy:
         assert len(ids) <= 1
 
 
+class TestLengthLimit:
+    def test_steps_fill_max_seq_len(self):
+        # the 6th step after a 10-id source feeds source + SEP + 5 ids:
+        # all 16 positions
+        cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=1,
+                          d_ff=32, max_seq_len=16)
+        assert decoder.max_steps_within(cfg, 10, 32) == 6
+        assert decoder.max_steps_within(cfg, 10, 4) == 4
+        src = [6] * 9 + [EOS]
+        step_fn = make_step_fn(init_params(cfg), src, src, 0, cfg)
+        assert step_fn([[7] * 5]).shape == (1, cfg.vocab_size)
+        with pytest.raises(ValueError, match="sequence length 17 exceeds"):
+            step_fn([[7] * 6])
+
+
 class TestResolveSummary:
     def test_in_vocab(self):
         v = build_vocab(["the cat sat"], max_size=10)

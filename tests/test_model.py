@@ -1,5 +1,8 @@
 """Model tests: init, causality, pointer head, mixture, sequence loss."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from pointer_gpt.model import (
     ModelConfig, _attention, _causal_mask, init_params, forward_hidden,
     param_specs, pointer_step, sequence_loss, teacher_forced_ids,
 )
-from pointer_gpt.tensor import ContractError, Tape, Tensor, backward
+from pointer_gpt.tensor import (ContractError, Tape, Tensor, backward,
+                                make_output)
 from pointer_gpt.tokenizer import EOS, SEP, UNK, EncodedExample
 
 
@@ -33,7 +37,7 @@ class TestModelConfig:
 
     def test_round_trip_dict(self):
         cfg = tiny_config(baseline=True)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
 
 class TestInitParams:
@@ -113,10 +117,8 @@ class TestKVCache:
             at += n
         np.testing.assert_allclose(np.concatenate(rows), full, rtol=0,
                                    atol=1e-6)
-        head = cfg.d_model // cfg.n_heads
         assert len(cache) == cfg.n_layers
-        assert all(k.shape == v.shape == (cfg.n_heads, at, head)
-                   for k, v in cache)
+        assert all(k.shape == v.shape == (at, cfg.d_model) for k, v in cache)
 
     def test_cache_under_tape_rejected(self):
         cfg = tiny_config()
@@ -237,13 +239,34 @@ def op_chain_linear(x, w, b):
     return ops.add(ops.matmul(x, w), b)
 
 
-def op_chain_attention(q, k, v, mask, scale):
-    scores = ops.affine(ops.matmul(q, ops.transpose(k)), scale)
-    return ops.matmul(ops.softmax_rows(ops.add(scores, Tensor(mask))), v)
+def split_heads(x, n_heads):
+    """[T, d] -> [H, T, d/H] as a tape op; head h gets columns
+    [h, h+1) * d/H."""
+    t_len, d = x.shape
+    out = x.data.reshape(t_len, n_heads, d // n_heads).swapaxes(0, 1)
+    return make_output(out, (x,), lambda g: (
+        g.swapaxes(0, 1).reshape(t_len, d),))
+
+
+def merge_heads(x):
+    """[H, T, d_head] -> [T, H * d_head] as a tape op; inverts split_heads."""
+    n_heads, t_len, d_head = x.shape
+    out = x.data.swapaxes(0, 1).reshape(t_len, n_heads * d_head)
+    return make_output(out, (x,), lambda g: (
+        g.reshape(t_len, n_heads, d_head).swapaxes(0, 1),))
+
+
+def op_chain_attention(q, k, v, mask, n_heads):
+    qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
+    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+    scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
+    attn = ops.softmax_rows(ops.add(scores, Tensor(mask)))
+    return merge_heads(ops.matmul(attn, vh))
 
 
 class TestFusedOpsBitIdentity:
-    """linear and causal_attention against the op chains they replace."""
+    """linear and causal_attention against the op chains they replace,
+    with the heads split and merged by their own tape ops."""
 
     def _hidden_and_grads(self, dtype):
         # heads of 32: scale 1/sqrt(32) is no power of two, so where the
@@ -279,6 +302,37 @@ class TestFusedOpsBitIdentity:
         for got, want in zip(fused, chain):
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+
+class TestOpBudget:
+    """Op counts on the acceptance config, so that fused ops stay fused."""
+
+    CFG = ModelConfig(vocab_size=60, d_model=64, n_heads=2, n_layers=2,
+                      d_ff=128, max_seq_len=64)
+    EXAMPLE = EncodedExample(source_ids=[6, 7, 1, 8, EOS],
+                             source_ext_ids=[6, 7, 60, 8, EOS],
+                             oov=["marker"], target_ext_ids=[7, 60, 9, EOS])
+
+    def test_sequence_loss_tape_records(self):
+        params = init_params(self.CFG)
+        with Tape() as tape:
+            sequence_loss(params, self.EXAMPLE, self.CFG)
+        assert len(tape) <= 52
+
+    def test_cached_one_row_forward_op_calls(self, monkeypatch):
+        params = init_params(self.CFG)
+        cache = []
+        forward_hidden(params, [6, 7, 8, SEP], self.CFG, cache=cache)
+        calls = []
+        make = ops.make_output
+
+        def counted(*args):
+            calls.append(args)
+            return make(*args)
+
+        monkeypatch.setattr(ops, "make_output", counted)
+        forward_hidden(params, [9], self.CFG, cache=cache)
+        assert 0 < len(calls) <= 28
 
 
 class TestPointerStep:

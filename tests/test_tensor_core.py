@@ -64,54 +64,6 @@ class TestMatmul:
         assert err < 1e-6
 
 
-class TestHeads:
-    def test_split_layout_and_merge_inverse(self):
-        x = np.arange(24.0).reshape(3, 8)
-        split = ops.split_heads(Tensor(x), 4)
-        assert split.shape == (4, 3, 2)
-        for h in range(4):
-            np.testing.assert_array_equal(split.data[h], x[:, 2 * h:2 * h + 2])
-        np.testing.assert_array_equal(ops.merge_heads(split).data, x)
-
-    def test_split_heads_gradcheck(self):
-        rng = np.random.default_rng(22)
-        x = t64(rng.normal(size=(3, 8)))
-        w = np.asarray(rng.normal(size=(2, 3, 4)))
-        err = gradcheck(
-            lambda a: ops.sum_all(ops.mul(ops.split_heads(a, 2), Tensor(w))),
-            x)
-        assert err < 1e-6
-
-    def test_merge_heads_gradcheck(self):
-        rng = np.random.default_rng(23)
-        x = t64(rng.normal(size=(4, 3, 2)))
-        w = np.asarray(rng.normal(size=(3, 8)))
-        err = gradcheck(
-            lambda a: ops.sum_all(ops.mul(ops.merge_heads(a), Tensor(w))), x)
-        assert err < 1e-6
-
-
-    def test_batched_matches_per_slice(self):
-        x = np.random.default_rng(24).normal(size=(3, 5, 8))
-        split = ops.split_heads(Tensor(x), 4).data
-        merged = ops.merge_heads(Tensor(split)).data
-        assert split.shape == (3, 4, 5, 2)
-        for b in range(3):
-            np.testing.assert_array_equal(
-                split[b], ops.split_heads(Tensor(x[b]), 4).data)
-        np.testing.assert_array_equal(merged, x)
-
-    def test_batched_gradcheck(self):
-        rng = np.random.default_rng(25)
-        x = t64(rng.normal(size=(2, 3, 8)))
-        w = np.asarray(rng.normal(size=(2, 3, 8)))
-        err = gradcheck(
-            lambda a: ops.sum_all(ops.mul(
-                ops.merge_heads(ops.affine(ops.split_heads(a, 4), 2.0)),
-                Tensor(w))), x)
-        assert err < 1e-6
-
-
 class TestLinear:
     def test_equals_matmul_plus_bias(self):
         rng = np.random.default_rng(26)
@@ -131,48 +83,61 @@ class TestLinear:
         assert err < 1e-6
 
 
-def attention_inputs(seed, lead, t_len, t_past):
-    """q [*lead, T, 3] and k, v [*lead, t_past + T, 3] in float64, the
+def attention_inputs(seed, lead, t_len, t_past, d=4):
+    """q [*lead, T, d] and k, v [*lead, t_past + T, d] in float64, the
     causal mask offset by t_past, and a random cotangent for the output."""
     rng = np.random.default_rng(seed)
-    q = t64(rng.normal(size=lead + (t_len, 3)))
-    k, v = (t64(rng.normal(size=lead + (t_past + t_len, 3)))
+    q = t64(rng.normal(size=lead + (t_len, d)))
+    k, v = (t64(rng.normal(size=lead + (t_past + t_len, d)))
             for _ in range(2))
     mask = _causal_mask(t_len, np.float64, t_past)
     return q, k, v, mask, np.asarray(rng.normal(size=q.shape))
 
 
-def attention_gradcheck_error(lead, t_past):
+def attention_gradcheck_error(lead, t_past, n_heads):
     q, k, v, mask, r = attention_inputs(28, lead, 4, t_past)
     return gradcheck(
         lambda *a: ops.sum_all(ops.mul(
-            ops.causal_attention(*a, mask, 0.6), Tensor(r))), [q, k, v])
+            ops.causal_attention(*a, mask, n_heads), Tensor(r))), [q, k, v])
 
 
 class TestCausalAttention:
-    @pytest.mark.parametrize("lead", [(2,), (3, 2)])
+    @pytest.mark.parametrize("lead", [(), (3, 2)])
     @pytest.mark.parametrize("t_past", [0, 3])
     def test_gradcheck(self, lead, t_past):
-        assert attention_gradcheck_error(lead, t_past) < 1e-6
+        for n_heads in (1, 2):
+            assert attention_gradcheck_error(lead, t_past, n_heads) < 1e-6
 
     def test_dropped_softmax_dot_term_is_caught(self, monkeypatch):
         # mutation control: the softmax backward without its - dot term
         monkeypatch.setattr(ops, "_softmax_grad", lambda g, out: g * out)
-        assert attention_gradcheck_error((2,), 3) > 1e-2
+        assert attention_gradcheck_error((), 3, 2) > 1e-2
 
     def test_matches_the_op_chain(self):
         q, k, v, mask, _ = attention_inputs(29, (2,), 5, 2)
-        scores = ops.affine(ops.matmul(q, ops.transpose(k)), 0.6)
+        scores = ops.affine(ops.matmul(q, ops.transpose(k)), 0.5)
         chain = ops.matmul(ops.softmax_rows(ops.add(scores, Tensor(mask))), v)
         np.testing.assert_array_equal(
-            ops.causal_attention(q, k, v, mask, 0.6).data, chain.data)
+            ops.causal_attention(q, k, v, mask, 1).data, chain.data)
+
+    @pytest.mark.parametrize("n_heads", [2, 4])
+    def test_each_head_attends_on_its_column_slice(self, n_heads):
+        q, k, v, mask, _ = attention_inputs(30, (), 5, 2, d=8)
+        out = ops.causal_attention(q, k, v, mask, n_heads).data
+        assert out.shape == (5, 8)
+        width = 8 // n_heads
+        for h in range(n_heads):
+            cols = slice(h * width, (h + 1) * width)
+            one = ops.causal_attention(
+                *(Tensor(t.data[:, cols]) for t in (q, k, v)), mask, 1).data
+            np.testing.assert_allclose(out[:, cols], one, rtol=1e-12)
 
     def test_batched_matches_per_slice(self):
         q, k, v, mask, _ = attention_inputs(31, (3, 2), 4, 3)
-        out = ops.causal_attention(q, k, v, mask, 0.6).data
+        out = ops.causal_attention(q, k, v, mask, 2).data
         for b in range(3):
             one = ops.causal_attention(*(Tensor(t.data[b]) for t in (q, k, v)),
-                                       mask, 0.6).data
+                                       mask, 2).data
             np.testing.assert_allclose(out[b], one, rtol=1e-12)
 
 
