@@ -141,6 +141,61 @@ class TestCausalAttention:
             np.testing.assert_allclose(out[b], one, rtol=1e-12)
 
 
+def attention_grads(q, k, v, mask, n_heads, r):
+    with Tape() as tape:
+        loss = ops.sum_all(ops.mul(
+            ops.causal_attention(q, k, v, mask, n_heads), Tensor(r)))
+    grads = backward(tape, loss)
+    return [grads[t] for t in (q, k, v)]
+
+
+class TestHeads:
+    """The head split of q, k, v and the merge of the output, which happen
+    inside causal_attention: 4 heads of width 2 over 8 columns."""
+
+    def test_split_heads_gradcheck(self):
+        # a cotangent on head 1's output columns reaches only head 1's
+        # columns of q, k and v
+        q, k, v, mask, r = attention_inputs(22, (), 3, 0, d=8)
+        r[:, :2] = 0.0
+        r[:, 4:] = 0.0
+        for g in attention_grads(q, k, v, mask, 4, r):
+            assert np.any(g[:, 2:4] != 0.0)
+            np.testing.assert_array_equal(g[:, :2], 0.0)
+            np.testing.assert_array_equal(g[:, 4:], 0.0)
+        err = gradcheck(
+            lambda *a: ops.sum_all(ops.mul(
+                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+        assert err < 1e-6
+
+    def test_merge_heads_gradcheck(self):
+        q, k, v, mask, r = attention_inputs(23, (), 3, 2, d=8)
+        err = gradcheck(
+            lambda *a: ops.sum_all(ops.mul(
+                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+        assert err < 1e-6
+
+    def test_batched_matches_per_slice(self):
+        q, k, v, mask, r = attention_inputs(24, (3,), 5, 0, d=8)
+        out = ops.causal_attention(q, k, v, mask, 4).data
+        grads = attention_grads(q, k, v, mask, 4, r)
+        assert out.shape == (3, 5, 8)
+        for b in range(3):
+            qb, kb, vb = (t64(t.data[b]) for t in (q, k, v))
+            np.testing.assert_allclose(
+                out[b], ops.causal_attention(qb, kb, vb, mask, 4).data,
+                rtol=1e-12)
+            for g, gb in zip(grads, attention_grads(qb, kb, vb, mask, 4, r[b])):
+                np.testing.assert_allclose(g[b], gb, rtol=1e-12, atol=1e-15)
+
+    def test_batched_gradcheck(self):
+        q, k, v, mask, r = attention_inputs(25, (2,), 3, 1, d=8)
+        err = gradcheck(
+            lambda *a: ops.sum_all(ops.mul(
+                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+        assert err < 1e-6
+
+
 class TestSoftmaxRows:
     def test_uniform_logits(self):
         out = ops.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
