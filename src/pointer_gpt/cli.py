@@ -136,7 +136,7 @@ def _decode_text(params, model_cfg, vocab, text, beam, max_len):
     else:
         hyp = beam_decode(params, source_ids, source_ext_ids, len(oov),
                           model_cfg, dcfg)
-        ids = [i for i in hyp.ids]
+        ids = hyp.ids
     return decode(ids, vocab, oov)
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import feed_ids, forward_hidden, pointer_head, positions_needed
+from .ops import LOG_FLOOR
 from .tensor import Tensor
 from .tokenizer import EOS, SEP
 
@@ -21,15 +22,12 @@ from .tokenizer import EOS, SEP
 class DecodeConfig:
     max_summary_len: int = 32
     beam_width: int = 1
-    length_norm_alpha: float = 0.0  # 0 = pure log-prob
 
     def __post_init__(self):
         if self.max_summary_len < 1:
             raise ValueError("max_summary_len must be >= 1")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
-        if not 0.0 <= self.length_norm_alpha <= 1.0:
-            raise ValueError("length_norm_alpha must be in [0, 1]")
 
 
 @dataclass
@@ -37,11 +35,6 @@ class Hypothesis:
     ids: tuple          # extended ids emitted so far
     log_prob: float
     finished: bool
-
-    def score(self, alpha):
-        if alpha == 0.0 or not self.ids:
-            return self.log_prob
-        return self.log_prob / (len(self.ids) ** alpha)
 
 
 def _stacked(caches):
@@ -108,14 +101,14 @@ def greedy_search(step_fn, max_len):
     for _ in range(max_len):
         dist = step_fn([out])[0]
         nxt = int(np.argmax(dist))
-        log_prob += math.log(max(float(dist[nxt]), 1e-12))
+        log_prob += math.log(max(float(dist[nxt]), LOG_FLOOR))
         if nxt == EOS:
             return Hypothesis(tuple(out) + (EOS,), log_prob, True)
         out.append(nxt)
     return Hypothesis(tuple(out), log_prob, False)
 
 
-def beam_search(step_fn, max_len, beam_width, alpha=0.0):
+def beam_search(step_fn, max_len, beam_width):
     """Standard beam search; finished hypotheses retire to a pool."""
     beams = [Hypothesis((), 0.0, False)]
     finished = []
@@ -123,17 +116,17 @@ def beam_search(step_fn, max_len, beam_width, alpha=0.0):
         candidates = []
         for hyp, dist in zip(beams, step_fn([hyp.ids for hyp in beams])):
             for nxt in np.argsort(-dist, kind="stable")[:beam_width].tolist():
-                lp = hyp.log_prob + math.log(max(float(dist[nxt]), 1e-12))
+                lp = hyp.log_prob + math.log(max(float(dist[nxt]),
+                                                 LOG_FLOOR))
                 candidates.append(Hypothesis(hyp.ids + (nxt,), lp, nxt == EOS))
-        candidates.sort(key=lambda h: (-h.score(alpha), h.ids))
+        candidates.sort(key=lambda h: (-h.log_prob, h.ids))
         beams = []
         for hyp in candidates[:beam_width]:
             (finished if hyp.finished else beams).append(hyp)
         if not beams:
             break
     pool = finished if finished else beams
-    return max(pool, key=lambda h: (h.score(alpha),
-                                    tuple(-i for i in h.ids)))
+    return max(pool, key=lambda h: (h.log_prob, tuple(-i for i in h.ids)))
 
 
 def _strip_eos(ids):
@@ -154,5 +147,4 @@ def beam_decode(params, source_ids, source_ext_ids, oov_count, config, dcfg):
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
-    return beam_search(step_fn, limit, dcfg.beam_width,
-                       dcfg.length_norm_alpha)
+    return beam_search(step_fn, limit, dcfg.beam_width)

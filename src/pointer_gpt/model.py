@@ -33,6 +33,14 @@ class ModelConfig:
     baseline: bool = False  # gate frozen at p_gen = 1 (no copying)
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff",
+                     "max_seq_len", "seed"):
+            if type(getattr(self, name)) is not int:  # bool subclasses int
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, getattr(self, name)))
+        if type(self.baseline) is not bool:
+            raise ValueError("baseline must be true or false, got %r"
+                             % (self.baseline,))
         for name in ("d_model", "n_heads", "n_layers", "d_ff"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %r"
@@ -188,10 +196,9 @@ def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
                              params["gate.b"])
         p_gen = ops.sigmoid(gate_logit)
 
-    gen_mass = ops.pad_cols(ops.mul(p_gen, vocab_dist), oov_count)
     copy_weights = ops.mul(ops.affine(p_gen, -1.0, 1.0), attn)
-    copy_mass = ops.scatter_add_cols(copy_weights, ext_ids, v + oov_count)
-    mixed = ops.add(gen_mass, copy_mass)
+    mixed = ops.scatter_add_cols(ops.mul(p_gen, vocab_dist), copy_weights,
+                                 ext_ids, v + oov_count)
     return attn, p_gen, mixed
 
 
@@ -245,5 +252,4 @@ def sequence_loss(params, example, config, rng=None):
         params, ops.take_rows(hidden, np.arange(s)),
         ops.take_rows(hidden, np.arange(s, s + n)), example.source_ext_ids,
         len(example.oov), config)
-    picked = ops.gather_cols(mixed, np.asarray(example.target_ext_ids))
-    return ops.affine(ops.mean_all(ops.clamped_log(picked)), -1.0)
+    return ops.nll(mixed, example.target_ext_ids)

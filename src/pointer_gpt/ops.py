@@ -15,6 +15,7 @@ from .tensor import ShapeError, ContractError, Tensor, make_output
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
+LOG_FLOOR = 1e-12  # a probability below it scores as log(LOG_FLOOR)
 
 
 def _unbroadcast(g, shape):
@@ -211,22 +212,12 @@ def causal_attention(q, k, v, mask, n_heads):
     return make_output(out, (q, k, v), bwd)
 
 
-def pad_cols(x, extra):
-    """Append `extra` zero columns."""
-    n, m = x.data.shape
-    out = np.zeros((n, m + extra), dtype=x.dtype)
-    out[:, :m] = x.data
-
-    def bwd(g):
-        return (g[:, :m],)
-
-    return make_output(out, (x,), bwd)
-
-
-def scatter_add_cols(values, col_ids, width):
-    """out[n, col_ids[i]] += values[n, i]; duplicate ids accumulate."""
+def scatter_add_cols(base, values, col_ids, width):
+    """base [n, m] widened with zero columns to `width`, plus values[n, i]
+    added at column col_ids[i]; duplicate ids accumulate."""
     ids = np.asarray(col_ids, dtype=np.int64)
     n, s = values.data.shape
+    m = base.data.shape[1]
     if ids.shape != (s,):
         raise ShapeError("col_ids length %d != values width %d"
                          % (ids.size, s))
@@ -234,42 +225,37 @@ def scatter_add_cols(values, col_ids, width):
         raise ContractError("scatter index out of range [0, %d)" % width)
     out = np.zeros((n, width), dtype=values.dtype)
     np.add.at(out, (np.arange(n)[:, None], ids[None, :]), values.data)
+    out[:, :m] += base.data
 
     def bwd(g):
-        return (g[:, ids],)
+        return g[:, :m], g[:, ids]
 
-    return make_output(out, (values,), bwd)
+    return make_output(out, (base, values), bwd)
 
 
-def gather_cols(x, col_per_row):
-    """out[n] = x[n, col_per_row[n]], returned as a column vector."""
-    idx = np.asarray(col_per_row, dtype=np.int64)
-    n = x.data.shape[0]
+def nll(probs, targets):
+    """-mean over rows n of log(max(probs[n, targets[n]], LOG_FLOOR)); the
+    gradient is zero where the floor is active."""
+    idx = np.asarray(targets, dtype=np.int64)
+    n = probs.data.shape[0]
     if idx.shape != (n,):
-        raise ShapeError("need one column index per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[1]):
-        raise ContractError("column index out of range")
+        raise ShapeError("need one target per row")
+    if idx.size and (idx.min() < 0 or idx.max() >= probs.data.shape[1]):
+        raise ContractError("target out of range")
     rows = np.arange(n)
-    out = x.data[rows, idx][:, None]
+    picked = probs.data[rows, idx]
+    clamped = np.maximum(picked, LOG_FLOOR)
+    # 0.0 - x, not -x: a certain prediction scores +0.0
+    out = np.asarray(0.0 - np.log(clamped).mean(), dtype=probs.dtype)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, idx] = g[:, 0]
-        return (gx,)
+        gp = np.zeros_like(probs.data)
+        gp[rows, idx] = np.where(picked > LOG_FLOOR,
+                                 np.asarray(-g / n, dtype=probs.dtype)
+                                 / clamped, 0.0)
+        return (gp,)
 
-    return make_output(out, (x,), bwd)
-
-
-def clamped_log(x, floor=1e-12):
-    """log(max(x, floor)); gradient is zero where the clamp is active."""
-    clamped = np.maximum(x.data, floor)
-    out = np.log(clamped)
-    passthrough = x.data > floor
-
-    def bwd(g):
-        return (np.where(passthrough, g / clamped, 0.0),)
-
-    return make_output(out, (x,), bwd)
+    return make_output(out, (probs,), bwd)
 
 
 def sum_all(x):

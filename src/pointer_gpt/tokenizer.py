@@ -36,9 +36,6 @@ class Vocabulary:
     def size(self):
         return len(self.id_to_token)
 
-    def __len__(self):
-        return len(self.id_to_token)
-
     def __contains__(self, token):
         return token in self.token_to_id
 

@@ -151,13 +151,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def _rewrite(self, path, edit_manifest=None, payload_suffix=b""):
-        """Re-save the checkpoint at path with its manifest edited."""
+    def _rewrite(self, path, edit_manifest=None, payload_suffix=b"",
+                 config=None):
+        """Re-save the checkpoint at path with its manifest edited and the
+        config entries in `config` replaced."""
         blob = open(path, "rb").read()
         (header_len,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12:12 + header_len])
         if edit_manifest:
             edit_manifest(header["manifest"])
+        header["config"].update(config or {})
         raw = json.dumps(header).encode("utf-8")
         open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw
                                + blob[12 + header_len:] + payload_suffix)
@@ -195,20 +198,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="4 bytes after"):
             load_checkpoint(path)
 
-    def test_cli_reports_bad_checkpoint_in_one_line(self, tmp_path, capsys):
-        params, cfg = tiny_model()
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(params, cfg, path)
-        self._rewrite(path, lambda m: m.pop())
+    def _summarize(self, path, tmp_path, capsys):
+        """Exit code and stderr of `summarize` with the checkpoint at path."""
         vocab = tmp_path / "vocab.txt"
         Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(str(vocab))
         doc = tmp_path / "doc.txt"
         doc.write_text("a b c")
         code = main(["summarize", "--ckpt", path, "--vocab", str(vocab),
                      "--input", str(doc)])
-        err = capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    def test_cli_reports_bad_checkpoint_in_one_line(self, tmp_path, capsys):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, lambda m: m.pop())
+        code, err = self._summarize(path, tmp_path, capsys)
         assert code == 1
         assert err.startswith("error: ") and "lacks tensor 'gate.b'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ({"n_heads": 2.0}, "n_heads must be an integer, got 2.0"),
+        ({"vocab_size": 12.0}, "vocab_size must be an integer, got 12.0"),
+        ({"baseline": "no"}, "baseline must be true or false, got 'no'"),
+    ], ids=["float-n_heads", "float-vocab_size", "string-baseline"])
+    def test_cli_reports_mistyped_header_config_in_one_line(
+            self, tmp_path, capsys, config, message):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, config=config)
+        code, err = self._summarize(path, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
     def test_no_partial_file_on_success(self, tmp_path):

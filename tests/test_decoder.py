@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pointer_gpt.decoder import (
-    DecodeConfig, Hypothesis, beam_search, greedy_decode, greedy_search,
+    DecodeConfig, beam_search, greedy_decode, greedy_search,
     make_step_fn,
 )
 from pointer_gpt import decoder, model
@@ -347,10 +347,3 @@ class TestDecodeConfig:
             DecodeConfig(max_summary_len=0)
         with pytest.raises(ValueError):
             DecodeConfig(beam_width=0)
-        with pytest.raises(ValueError):
-            DecodeConfig(length_norm_alpha=1.5)
-
-    def test_hypothesis_score_length_norm(self):
-        hyp = Hypothesis(ids=(5, 6, EOS), log_prob=-3.0, finished=True)
-        assert hyp.score(0.0) == -3.0
-        assert hyp.score(1.0) == pytest.approx(-1.0)

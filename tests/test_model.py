@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pointer_gpt import ops
+from pointer_gpt.decoder import make_step_fn
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import (
     ModelConfig, _attention, _causal_mask, init_params, forward_hidden,
@@ -34,6 +35,19 @@ class TestModelConfig:
     def test_heads_must_divide_d_model(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, d_model=10, n_heads=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("vocab_size", 20.0), ("d_model", "16"), ("n_heads", True),
+        ("n_layers", 2.0), ("d_ff", None), ("max_seq_len", 16.0),
+        ("seed", "3")])
+    def test_int_fields_reject_other_types(self, field, value):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("value", ["no", 0, 1.0, None])
+    def test_baseline_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="baseline must be true or false"):
+            tiny_config(baseline=value)
 
     def test_round_trip_dict(self):
         cfg = tiny_config(baseline=True)
@@ -264,9 +278,56 @@ def op_chain_attention(q, k, v, mask, n_heads):
     return merge_heads(ops.matmul(attn, vh))
 
 
+def pad_cols(x, extra):
+    """Append `extra` zero columns, as a tape op."""
+    n, m = x.shape
+    out = np.zeros((n, m + extra), dtype=x.dtype)
+    out[:, :m] = x.data
+    return make_output(out, (x,), lambda g: (g[:, :m],))
+
+
+def scatter_cols(values, col_ids, width):
+    """Zeros [n, width] plus values[n, i] at column col_ids[i], as a tape
+    op."""
+    n = values.shape[0]
+    out = np.zeros((n, width), dtype=values.dtype)
+    np.add.at(out, (np.arange(n)[:, None], col_ids[None, :]), values.data)
+    return make_output(out, (values,), lambda g: (g[:, col_ids],))
+
+
+def op_chain_scatter_add_cols(base, values, col_ids, width):
+    return ops.add(pad_cols(base, width - base.shape[1]),
+                   scatter_cols(values, np.asarray(col_ids), width))
+
+
+def gather_cols(x, cols):
+    """x[n, cols[n]] as a column vector, as a tape op."""
+    rows = np.arange(x.shape[0])
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[rows, cols] = g[:, 0]
+        return (gx,)
+
+    return make_output(x.data[rows, cols][:, None], (x,), bwd)
+
+
+def clamped_log(x):
+    """log(max(x, LOG_FLOOR)) with a zero gradient at the floor."""
+    clamped = np.maximum(x.data, ops.LOG_FLOOR)
+    return make_output(np.log(clamped), (x,), lambda g: (
+        np.where(x.data > ops.LOG_FLOOR, g / clamped, 0.0),))
+
+
+def op_chain_nll(probs, targets):
+    picked = gather_cols(probs, np.asarray(targets))
+    return ops.affine(ops.mean_all(clamped_log(picked)), -1.0)
+
+
 class TestFusedOpsBitIdentity:
-    """linear and causal_attention against the op chains they replace,
-    with the heads split and merged by their own tape ops."""
+    """linear, causal_attention, scatter_add_cols and nll against the op
+    chains they replace, with the heads split and merged by their own tape
+    ops."""
 
     def _hidden_and_grads(self, dtype):
         # heads of 32: scale 1/sqrt(32) is no power of two, so where the
@@ -279,7 +340,8 @@ class TestFusedOpsBitIdentity:
             t.data += rng.normal(0.0, 0.05, size=t.shape).astype(dtype)
         src = [int(i) for i in rng.integers(5, 60, size=40)] + [EOS]
         ex = EncodedExample(source_ids=src,
-                            source_ext_ids=src[:3] + [60] + src[4:],
+                            source_ext_ids=src[:3] + [60] + src[4:20]
+                            + [60] + src[21:],
                             oov=["x"], target_ext_ids=[7, 60] + [9] * 13
                             + [EOS])
         ids = teacher_forced_ids(ex, cfg.vocab_size)
@@ -296,6 +358,8 @@ class TestFusedOpsBitIdentity:
         fused = self._hidden_and_grads(dtype)
         monkeypatch.setattr(ops, "linear", op_chain_linear)
         monkeypatch.setattr(ops, "causal_attention", op_chain_attention)
+        monkeypatch.setattr(ops, "scatter_add_cols", op_chain_scatter_add_cols)
+        monkeypatch.setattr(ops, "nll", op_chain_nll)
         chain = self._hidden_and_grads(dtype)
         assert len(fused) == len(chain) == 2 + len(param_specs(
             ModelConfig(vocab_size=60, n_layers=2)))
@@ -317,12 +381,10 @@ class TestOpBudget:
         params = init_params(self.CFG)
         with Tape() as tape:
             sequence_loss(params, self.EXAMPLE, self.CFG)
-        assert len(tape) <= 52
+        assert len(tape) <= 47
 
-    def test_cached_one_row_forward_op_calls(self, monkeypatch):
-        params = init_params(self.CFG)
-        cache = []
-        forward_hidden(params, [6, 7, 8, SEP], self.CFG, cache=cache)
+    @staticmethod
+    def _count_op_calls(monkeypatch):
         calls = []
         make = ops.make_output
 
@@ -331,8 +393,24 @@ class TestOpBudget:
             return make(*args)
 
         monkeypatch.setattr(ops, "make_output", counted)
+        return calls
+
+    def test_cached_one_row_forward_op_calls(self, monkeypatch):
+        params = init_params(self.CFG)
+        cache = []
+        forward_hidden(params, [6, 7, 8, SEP], self.CFG, cache=cache)
+        calls = self._count_op_calls(monkeypatch)
         forward_hidden(params, [9], self.CFG, cache=cache)
         assert 0 < len(calls) <= 28
+
+    def test_one_prefix_step_fn_op_calls(self, monkeypatch):
+        ex = self.EXAMPLE
+        step_fn = make_step_fn(init_params(self.CFG), ex.source_ids,
+                               ex.source_ext_ids, len(ex.oov), self.CFG)
+        step_fn([()])
+        calls = self._count_op_calls(monkeypatch)
+        step_fn([(7,)])
+        assert 0 < len(calls) <= 44
 
 
 class TestPointerStep:

@@ -423,12 +423,8 @@ class TestGradcheck:
         x = t64(rng.normal(size=(4, 6)))
         targets = np.array([1, 3, 0, 5])
 
-        def f(a):
-            probs = ops.softmax_rows(a)
-            picked = ops.gather_cols(probs, targets)
-            return ops.affine(ops.mean_all(ops.clamped_log(picked)), -1.0)
-
-        assert gradcheck(f, x) < 1e-6
+        assert gradcheck(lambda a: ops.nll(ops.softmax_rows(a), targets),
+                         x) < 1e-6
 
     def test_corrupted_backward_detected(self, monkeypatch):
         # negative control: a wrong gelu derivative must be flagged
@@ -448,23 +444,44 @@ class TestElementwiseOps:
         assert gradcheck(lambda a: ops.sum_all(ops.sigmoid(a)), x) < 1e-6
 
     def test_scatter_add_accumulates_duplicates(self):
+        base = Tensor(np.array([[0.125, 0.375]]))
         vals = Tensor(np.array([[0.25, 0.25, 0.5]]))
-        out = ops.scatter_add_cols(vals, np.array([1, 1, 0]), 3)
-        np.testing.assert_allclose(out.data, [[0.5, 0.5, 0.0]])
+        out = ops.scatter_add_cols(base, vals, np.array([1, 1, 3]), 4)
+        np.testing.assert_allclose(out.data, [[0.125, 0.875, 0.0, 0.5]])
 
     def test_scatter_add_gradcheck(self):
         rng = np.random.default_rng(12)
+        base = t64(rng.normal(size=(2, 2)))
         vals = t64(rng.normal(size=(2, 4)))
         ids = np.array([0, 2, 2, 1])
         w = np.asarray(rng.normal(size=(2, 3)))
         err = gradcheck(
-            lambda v: ops.sum_all(ops.mul(ops.scatter_add_cols(v, ids, 3),
-                                          Tensor(w))), vals)
+            lambda b, v: ops.sum_all(ops.mul(
+                ops.scatter_add_cols(b, v, ids, 3), Tensor(w))), [base, vals])
         assert err < 1e-6
 
-    def test_clamped_log_floor(self):
-        out = ops.clamped_log(Tensor([0.0, 1.0]))
-        np.testing.assert_allclose(out.data, [np.log(1e-12), 0.0])
+    def test_scatter_add_input_checks(self):
+        base, vals = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match="col_ids length 2"):
+            ops.scatter_add_cols(base, vals, [0, 1], 3)
+        with pytest.raises(ContractError, match="out of range"):
+            ops.scatter_add_cols(base, vals, [0, 1, 3], 3)
+
+    def test_nll_floor(self):
+        probs = t64([[0.0, 1.0], [0.5, 0.5]])
+        with Tape() as tape:
+            loss = ops.nll(probs, [0, 1])
+        np.testing.assert_allclose(loss.data,
+                                   -(np.log(1e-12) + np.log(0.5)) / 2)
+        np.testing.assert_array_equal(backward(tape, loss)[probs],
+                                      [[0.0, 0.0], [0.0, -1.0]])
+
+    def test_nll_input_checks(self):
+        probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(ShapeError, match="one target per row"):
+            ops.nll(probs, [0])
+        with pytest.raises(ContractError, match="target out of range"):
+            ops.nll(probs, [0, 3])
 
     def test_take_rows_gradcheck(self):
         rng = np.random.default_rng(13)
