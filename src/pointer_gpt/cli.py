@@ -127,10 +127,9 @@ def cmd_train(args):
     return 0
 
 
-def _decode_text(params, model_cfg, vocab, text, beam, max_len):
+def _decode_text(params, model_cfg, vocab, text, dcfg):
     source_ids, source_ext_ids, oov = encode_source(text, vocab)
-    dcfg = DecodeConfig(max_summary_len=max_len, beam_width=max(beam, 1))
-    if beam <= 1:
+    if dcfg.beam_width == 1:
         ids = greedy_decode(params, source_ids, source_ext_ids, len(oov),
                             model_cfg, dcfg)
     else:
@@ -153,18 +152,19 @@ def _load_model(args):
 
 
 def cmd_summarize(args):
+    dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
     params, model_cfg, vocab = _load_model(args)
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input, "r", encoding="utf-8") as f:
             text = f.read()
-    print(_decode_text(params, model_cfg, vocab, text, args.beam,
-                       args.max_len))
+    print(_decode_text(params, model_cfg, vocab, text, dcfg))
     return 0
 
 
 def cmd_evaluate(args):
+    dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
     params, model_cfg, vocab = _load_model(args)
     records = load_dataset(args.data)
     if not records:
@@ -173,8 +173,7 @@ def cmd_evaluate(args):
     if args.self_test:
         candidates = list(references)
     else:
-        candidates = [_decode_text(params, model_cfg, vocab, r.source,
-                                   args.beam, args.max_len)
+        candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
                       for r in records]
     report = rouge_report(candidates, references)
     print(format_report_table([("PointerGPT" if not model_cfg.baseline
@@ -182,8 +181,9 @@ def cmd_evaluate(args):
     return 0
 
 
-def run_compare(records, cfg, seed, beam=1, max_len=32):
+def run_compare(records, cfg, seed, dcfg=None):
     """Train baseline and pointer variants identically; score held-out."""
+    dcfg = dcfg or DecodeConfig()
     train_recs, eval_recs = split_by_index(records)
     if not train_recs or not eval_recs:
         raise CliError("dataset too small for an 80/20 split")
@@ -191,8 +191,7 @@ def run_compare(records, cfg, seed, beam=1, max_len=32):
     for label, baseline in (("GPT-baseline", True), ("PointerGPT", False)):
         vocab, model_cfg, params, _report = _train_model(
             train_recs, cfg, seed, baseline)
-        candidates = [_decode_text(params, model_cfg, vocab, r.source,
-                                   beam, max_len)
+        candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
                       for r in eval_recs]
         rows.append((label,
                      rouge_report(candidates,
@@ -206,10 +205,8 @@ def cmd_compare(args):
         raise CliError("dataset %s is empty" % args.data)
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
-    decode_cfg = _config_with_defaults(cfg, "decode")
-    rows = run_compare(records, cfg, seed,
-                       beam=decode_cfg["beam_width"],
-                       max_len=decode_cfg["max_summary_len"])
+    dcfg = DecodeConfig(**_config_with_defaults(cfg, "decode"))
+    rows = run_compare(records, cfg, seed, dcfg)
     print(format_report_table(rows))
     return 0
 

@@ -57,7 +57,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     root = []
     hidden = forward_hidden(params, list(source_ids) + [SEP], config,
                             cache=root).data
-    h_src = Tensor(hidden[:-1])
+    h_src = Tensor(hidden[None, :-1])
     states = {(): (root, hidden[-1])}
 
     def step_fn(prefixes):
@@ -76,13 +76,13 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
             for j, key in enumerate(members):
                 states[key] = ([(k[j], vv[j]) for k, vv in cache],
                                hidden[j, -1])
-        h_t = Tensor(np.stack([states[key][1] for key in keys]))
+        h_t = Tensor(np.stack([states[key][1] for key in keys])[None])
         longest = max((m for _, m in groups), default=0)
         for old in [p for p in states if 0 < len(p) < longest - 1]:
             del states[old]
-        _, _, mixed = pointer_head(params, h_src, h_t, source_ext_ids,
+        _, _, mixed = pointer_head(params, h_src, h_t, [source_ext_ids],
                                    oov_count, config)
-        return mixed.data
+        return mixed.data[0]
 
     return step_fn
 

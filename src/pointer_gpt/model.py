@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .tensor import ContractError, Tensor, active_tape
-from .tokenizer import SEP, UNK
+from .tokenizer import PAD, SEP, UNK
 
 NEG_INF = -1e9
 
@@ -169,31 +169,42 @@ class PointerOutput:
 def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
     """Batched pointer head: returns (attn, p_gen, mixed) Tensors.
 
-    h_src [S, d] are the final-layer states at the source positions (the
-    encoder side); each row of h_t [n, d] is the state at a position whose
-    next token is being predicted (the decoder side).
+    h_src [B, S, d] are the final-layer states at the source positions (the
+    encoder side); each row of h_t [B, N, d] is the state at a position whose
+    next token is being predicted (the decoder side). source_ext_ids holds
+    one id list per example; example b's source is the first
+    len(source_ext_ids[b]) rows of h_src, and the copy attention is masked
+    off the rows after them.
     """
     v = config.vocab_size
-    ext_ids = np.asarray(source_ext_ids, dtype=np.int64)
-    if h_src.shape[0] < 1:
+    b, s = h_src.shape[:2]
+    lens = np.array([len(ids) for ids in source_ext_ids], dtype=np.int64)
+    if lens.shape != (b,) or h_t.shape[0] != b:
+        raise ContractError("need one source per example")
+    if s < 1 or lens.min() < 1:
         raise ContractError("source must be nonempty")
-    if ext_ids.shape[0] != h_src.shape[0]:
+    if lens.max() != s:
         raise ContractError("source_ext_ids length != source length")
-    if ext_ids.size and ext_ids.max() >= v + oov_count:
+    ext_ids = np.zeros((b, s), dtype=np.int64)  # padding copies 0 mass
+    for row, ids in zip(ext_ids, source_ext_ids):
+        row[:len(ids)] = ids
+    if ext_ids.max() >= v + oov_count:
         raise ContractError("oov_count %d inconsistent with max extended id %d"
                             % (oov_count, int(ext_ids.max())))
+    col_mask = np.where(np.arange(s) < lens[:, None], 0.0, NEG_INF)
 
     scores = ops.matmul(ops.matmul(h_t, params["ptr.w"]), ops.transpose(h_src))
-    attn = ops.softmax_rows(scores)
+    attn = ops.softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
+                                                   dtype=h_src.dtype)))
     context = ops.matmul(attn, h_src)
 
     vocab_dist = ops.softmax_rows(ops.matmul(h_t, params["w_vocab"]))
     if config.baseline:
-        p_gen = Tensor(np.ones((h_t.shape[0], 1)), dtype=h_t.dtype)
+        p_gen = Tensor(np.ones(h_t.shape[:-1] + (1,)), dtype=h_t.dtype)
     else:
-        gate_logit = ops.add(ops.add(ops.matmul(h_t, params["gate.w_h"]),
-                                     ops.matmul(context, params["gate.w_c"])),
-                             params["gate.b"])
+        gate_logit = ops.add(ops.linear(h_t, params["gate.w_h"],
+                                        params["gate.b"]),
+                             ops.matmul(context, params["gate.w_c"]))
         p_gen = ops.sigmoid(gate_logit)
 
     copy_weights = ops.mul(ops.affine(p_gen, -1.0, 1.0), attn)
@@ -204,16 +215,17 @@ def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
 
 def pointer_step(params, hidden, step, source_len, source_ext_ids,
                  oov_count, config):
-    """Pointer head at one position; generation requires step >= source_len."""
+    """Pointer head at one position of hidden [T, d]; generation requires
+    step >= source_len."""
     if step < source_len:
         raise ContractError("pointer_step at %d precedes end of source %d"
                             % (step, source_len))
     attn, p_gen, mixed = pointer_head(
-        params, ops.take_rows(hidden, np.arange(source_len)),
-        ops.take_rows(hidden, [step]), source_ext_ids, oov_count, config)
-    return PointerOutput(attn=attn.data[0].copy(),
-                         p_gen=float(p_gen.data[0, 0]),
-                         mixed=mixed.data[0].copy())
+        params, ops.take_rows(hidden, [np.arange(source_len)]),
+        ops.take_rows(hidden, [[step]]), [source_ext_ids], oov_count, config)
+    return PointerOutput(attn=attn.data[0, 0].copy(),
+                         p_gen=float(p_gen.data[0, 0, 0]),
+                         mixed=mixed.data[0, 0].copy())
 
 
 def positions_needed(source_len, summary_len):
@@ -235,21 +247,38 @@ def teacher_forced_ids(example, vocab_size):
             + feed_ids(example.target_ext_ids[:-1], vocab_size))
 
 
-def sequence_loss(params, example, config, rng=None):
-    """Mean NLL of the mixed distribution over all summary prediction steps;
-    dropout runs only when ``rng`` is given."""
-    s = len(example.source_ids)
-    n = len(example.target_ext_ids)
-    if n < 1:
+def sequence_loss(params, examples, config, rng=None):
+    """Mean over the examples of each one's mean NLL of the mixed
+    distribution over its summary prediction steps, from one right-padded
+    [B, T] forward; dropout runs only when ``rng`` is given."""
+    b = len(examples)
+    if b < 1:
+        raise ContractError("sequence_loss needs at least one example")
+    src = np.array([len(ex.source_ids) for ex in examples])
+    tgt = np.array([len(ex.target_ext_ids) for ex in examples])
+    if tgt.min() < 1:
         raise ContractError("example has an empty target")
-    need = positions_needed(s, n)
+    need = int(positions_needed(src, tgt).max())
     if need > config.max_seq_len:
         raise ValueError("encoded example length %d exceeds max_seq_len %d"
                          % (need, config.max_seq_len))
-    input_ids = teacher_forced_ids(example, config.vocab_size)
-    hidden = forward_hidden(params, input_ids, config, rng=rng)
+    s, n = int(src.max()), int(tgt.max())
+    ids = np.full((b, need), PAD)
+    targets = np.full((b, n), PAD)
+    for row, ex in enumerate(examples):
+        fed = teacher_forced_ids(ex, config.vocab_size)
+        ids[row, :len(fed)] = fed
+        targets[row, :tgt[row]] = ex.target_ext_ids
+    # the causal mask already keeps every real row off the right padding
+    hidden = forward_hidden(params, ids, config, rng=rng)
+    steps = np.arange(n)
+    real = steps < tgt[:, None]
     _, _, mixed = pointer_head(
-        params, ops.take_rows(hidden, np.arange(s)),
-        ops.take_rows(hidden, np.arange(s, s + n)), example.source_ext_ids,
-        len(example.oov), config)
-    return ops.nll(mixed, example.target_ext_ids)
+        params, ops.take_rows(hidden, np.broadcast_to(np.arange(s), (b, s))),
+        ops.take_rows(hidden, np.where(real, src[:, None] + steps, 0)),
+        [ex.source_ext_ids for ex in examples],
+        max(len(ex.oov) for ex in examples), config)
+    # example b's n_b steps weigh 1 / (B * n_b) each; padded steps 0
+    weights = (np.asarray(real, dtype=hidden.dtype)
+               / np.asarray(b * tgt, dtype=hidden.dtype)[:, None])
+    return ops.nll(mixed, targets, weights)

@@ -58,18 +58,25 @@ def affine(x, scale=1.0, shift=0.0):
 
 
 def matmul(a, b):
-    """Product over the last two axes; leading (batch) axes must match."""
+    """Product over the last two axes. The leading (batch) axes must match,
+    or b is 2-D and multiplies every leading slice of a."""
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2]:
+    if ad.ndim < 2 or (bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]):
         raise ShapeError("matmul expects operands of rank >= 2 with equal "
-                         "batch axes, got %s and %s" % (ad.shape, bd.shape))
+                         "batch axes or a 2-D right operand, got %s and %s"
+                         % (ad.shape, bd.shape))
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError("matmul inner dimensions differ: %s vs %s"
                          % (ad.shape, bd.shape))
     out = ad @ bd
 
     def bwd(g):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        if bd.ndim == 2:  # reduced over a's leading axes, as in linear
+            gb = (ad.reshape(-1, ad.shape[-1]).swapaxes(-1, -2)
+                  @ g.reshape(-1, g.shape[-1]))
+        else:
+            gb = ad.swapaxes(-1, -2) @ g
+        return g @ bd.swapaxes(-1, -2), gb
 
     return make_output(out, (a, b), bwd)
 
@@ -100,7 +107,7 @@ def transpose(x):
 def gelu(x):
     """Tanh-approximation GELU (GPT-2 convention)."""
     xd = x.data
-    inner = GELU_C * (xd + GELU_A * xd ** 3)
+    inner = GELU_C * (xd + GELU_A * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
@@ -113,7 +120,8 @@ def gelu(x):
 def _gelu_grad(xd, t):
     # d/dx [0.5 x (1 + tanh(c(x + a x^3)))]
     sech2 = 1.0 - t * t
-    return 0.5 * (1.0 + t) + 0.5 * xd * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * xd ** 2)
+    return (0.5 * (1.0 + t)
+            + 0.5 * xd * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * (xd * xd)))
 
 
 def sigmoid(x):
@@ -149,10 +157,10 @@ def softmax_rows(x):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row zero-mean/unit-variance normalization with affine."""
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    xc = xd - xd.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)  # np.var's own arithmetic
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):
@@ -167,17 +175,31 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return make_output(out, (x, gain, bias), bwd)
 
 
+def _lead_index(lead, ndim):
+    """Index arrays over the leading axes `lead` of an array, each shaped to
+    broadcast against an index array of `ndim` axes."""
+    return tuple(np.arange(n).reshape((n,) + (1,) * (ndim - i - 1))
+                 for i, n in enumerate(lead))
+
+
 def take_rows(table, indices):
-    """Gather rows (embedding lookup); backward scatter-adds."""
+    """Gather rows: table [..., T, d] by indices [..., K]; the leading axes
+    of both match, so a 2-D table (an embedding) takes indices of any shape.
+    Backward scatter-adds."""
+    td = table.data
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ContractError("row index out of range [0, %d)"
-                            % table.data.shape[0])
-    out = table.data[idx]
+    lead = td.shape[:-2]
+    if idx.shape[:len(lead)] != lead:
+        raise ShapeError("take_rows: indices %s do not lead with the batch "
+                         "axes of table %s" % (idx.shape, td.shape))
+    if idx.size and (idx.min() < 0 or idx.max() >= td.shape[-2]):
+        raise ContractError("row index out of range [0, %d)" % td.shape[-2])
+    key = _lead_index(lead, idx.ndim) + (idx,)
+    out = td[key]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        gt = np.zeros_like(td)
+        np.add.at(gt, key, g)
         return (gt,)
 
     return make_output(out, (table,), bwd)
@@ -213,46 +235,55 @@ def causal_attention(q, k, v, mask, n_heads):
 
 
 def scatter_add_cols(base, values, col_ids, width):
-    """base [n, m] widened with zero columns to `width`, plus values[n, i]
-    added at column col_ids[i]; duplicate ids accumulate."""
+    """base [..., n, m] widened with zero columns to `width`, plus
+    values[..., n, i] added at column col_ids[..., i]; col_ids has the
+    leading axes of values and duplicate ids accumulate."""
     ids = np.asarray(col_ids, dtype=np.int64)
-    n, s = values.data.shape
-    m = base.data.shape[1]
-    if ids.shape != (s,):
-        raise ShapeError("col_ids length %d != values width %d"
-                         % (ids.size, s))
+    vd = values.data
+    m = base.data.shape[-1]
+    if ids.shape != vd.shape[:-2] + vd.shape[-1:]:
+        raise ShapeError("col_ids length %d != values width %d (col_ids %s, "
+                         "values %s)" % (ids.shape[-1] if ids.ndim else 0,
+                                         vd.shape[-1], ids.shape, vd.shape))
     if ids.size and (ids.min() < 0 or ids.max() >= width):
         raise ContractError("scatter index out of range [0, %d)" % width)
-    out = np.zeros((n, width), dtype=values.dtype)
-    np.add.at(out, (np.arange(n)[:, None], ids[None, :]), values.data)
-    out[:, :m] += base.data
+    cols = ids[..., None, :]  # the same ids for every row n
+    key = _lead_index(vd.shape[:-2], cols.ndim) + (
+        np.arange(vd.shape[-2])[:, None], cols)
+    out = np.zeros(vd.shape[:-1] + (width,), dtype=values.dtype)
+    np.add.at(out, key, vd)
+    out[..., :m] += base.data
 
     def bwd(g):
-        return g[:, :m], g[:, ids]
+        return g[..., :m], g[key]
 
     return make_output(out, (base, values), bwd)
 
 
-def nll(probs, targets):
-    """-mean over rows n of log(max(probs[n, targets[n]], LOG_FLOOR)); the
-    gradient is zero where the floor is active."""
+def nll(probs, targets, weights):
+    """-sum over rows r of weights[r] * log(max(probs[r, targets[r]],
+    LOG_FLOOR)) for probs [..., V] and targets, weights [...]; the gradient
+    is zero where the floor is active."""
+    pd = probs.data
     idx = np.asarray(targets, dtype=np.int64)
-    n = probs.data.shape[0]
-    if idx.shape != (n,):
+    if idx.shape != pd.shape[:-1]:
         raise ShapeError("need one target per row")
-    if idx.size and (idx.min() < 0 or idx.max() >= probs.data.shape[1]):
+    if idx.size and (idx.min() < 0 or idx.max() >= pd.shape[-1]):
         raise ContractError("target out of range")
-    rows = np.arange(n)
-    picked = probs.data[rows, idx]
+    weights = np.asarray(weights, dtype=pd.dtype)
+    if weights.shape != idx.shape:
+        raise ShapeError("need one weight per row")
+    cols = idx[..., None]
+    picked = np.take_along_axis(pd, cols, axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_FLOOR)
     # 0.0 - x, not -x: a certain prediction scores +0.0
-    out = np.asarray(0.0 - np.log(clamped).mean(), dtype=probs.dtype)
+    out = np.asarray(0.0 - (weights * np.log(clamped)).sum(), dtype=pd.dtype)
 
     def bwd(g):
-        gp = np.zeros_like(probs.data)
-        gp[rows, idx] = np.where(picked > LOG_FLOOR,
-                                 np.asarray(-g / n, dtype=probs.dtype)
-                                 / clamped, 0.0)
+        gp = np.zeros_like(pd)
+        np.put_along_axis(gp, cols, np.where(
+            picked > LOG_FLOOR, (0.0 - g) * weights / clamped, 0.0)[..., None],
+            axis=-1)
         return (gp,)
 
     return make_output(out, (probs,), bwd)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .model import sequence_loss
 from .optim import AdamState, adam_step, clip_grad_norm
 from .tensor import Tape, backward
@@ -29,15 +29,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError("lr must be positive and finite, got %r"
+                             % self.lr)
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError("%s must be in [0, 1), got %r"
+                                 % (name, getattr(self, name)))
+        if not self.eps > 0:
+            raise ValueError("eps must be positive, got %r" % self.eps)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1, got %r" % self.epochs)
-        if self.max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive, got %r"
-                             % self.max_grad_norm)
+        if not (math.isfinite(self.max_grad_norm) and self.max_grad_norm > 0):
+            raise ValueError("max_grad_norm must be positive and finite, "
+                             "got %r" % self.max_grad_norm)
 
 
 @dataclass
@@ -52,7 +59,7 @@ def evaluate_loss(params, dataset, mcfg):
         raise ValueError("dataset must be nonempty")
     total = 0.0
     for ex in dataset:
-        total += float(sequence_loss(params, ex, mcfg).data)
+        total += float(sequence_loss(params, [ex], mcfg).data)
     return total / len(dataset)
 
 
@@ -78,20 +85,14 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
             for lo in range(0, len(order), tcfg.batch_size):
                 batch = order[lo:lo + tcfg.batch_size]
                 with Tape() as tape:
-                    losses = [sequence_loss(params, dataset[i], mcfg,
-                                            rng=drop_rng)
-                              for i in batch]
-                    total = losses[0]
-                    for other in losses[1:]:
-                        total = ops.add(total, other)
-                    batch_loss = ops.affine(total, 1.0 / len(batch))
+                    batch_loss = sequence_loss(
+                        params, [dataset[i] for i in batch], mcfg,
+                        rng=drop_rng)
                 value = float(batch_loss.data)
                 if not np.isfinite(value):
-                    bad = [int(i) for i, l in zip(batch, losses)
-                           if not np.isfinite(float(l.data))]
                     raise TrainingError(
                         "non-finite loss at step %d (examples %s)"
-                        % (step, bad))
+                        % (step, batch.tolist()))
                 grads = backward(tape, batch_loss)
                 # the frozen baseline gate is never reached: its grad is zero
                 grads = [grads[p] if p in grads else np.zeros_like(p.data)

@@ -127,7 +127,7 @@ def _full_model_gradcheck():
     params = init_params(cfg, dtype=np.longdouble)
 
     def f(*tensors):
-        return sequence_loss(params, GRADCHECK_EXAMPLE, cfg)
+        return sequence_loss(params, [GRADCHECK_EXAMPLE], cfg)
 
     return gradcheck(f, params.values(), h=np.longdouble(1e-6))
 
@@ -229,10 +229,10 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
     params, cfg = load_checkpoint(str(tmp_path / "a" / "model.ckpt"))
     ex = GRADCHECK_EXAMPLE
-    before = sequence_loss(params, ex, cfg).data
+    before = sequence_loss(params, [ex], cfg).data
     save_checkpoint(params, cfg, str(tmp_path / "again.ckpt"))
     reloaded, recfg = load_checkpoint(str(tmp_path / "again.ckpt"))
-    after = sequence_loss(reloaded, ex, recfg).data
+    after = sequence_loss(reloaded, [ex], recfg).data
     assert np.array_equal(before, after)
 
 

@@ -13,7 +13,9 @@ from pointer_gpt.data import (DatasetError, DatasetRecord, load_dataset,
                               save_dataset, split_by_index,
                               synthetic_copy_task)
 from pointer_gpt.model import ModelConfig, init_params, sequence_loss
-from pointer_gpt.tokenizer import encode_example, Vocabulary
+from pointer_gpt.decoder import DecodeConfig, beam_decode
+from pointer_gpt.tokenizer import (Vocabulary, decode, encode_example,
+                                   encode_source)
 
 
 SMALL_CONFIG = {
@@ -122,8 +124,8 @@ class TestCheckpoint:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, cfg, path)
         loaded, _ = load_checkpoint(path)
-        before = sequence_loss(params, ex, cfg).data
-        after = sequence_loss(loaded, ex, cfg).data
+        before = sequence_loss(params, [ex], cfg).data
+        after = sequence_loss(loaded, [ex], cfg).data
         assert np.array_equal(before, after)
 
     def test_bad_magic(self, tmp_path):
@@ -324,6 +326,14 @@ class TestCliTrain:
         ("max_grad_norm", -1.0, "max_grad_norm must be positive"),
         ("epochs", 0, "epochs must be at least 1"),
         ("epochs", -1, "epochs must be at least 1"),
+        ("beta1", 1.0, "beta1 must be in [0, 1)"),
+        ("beta1", -0.1, "beta1 must be in [0, 1)"),
+        ("beta2", 1.0, "beta2 must be in [0, 1)"),
+        ("eps", -1.0, "eps must be positive"),
+        ("eps", 0.0, "eps must be positive"),
+        ("lr", float("nan"), "lr must be positive and finite"),
+        ("lr", float("inf"), "lr must be positive and finite"),
+        ("max_grad_norm", float("inf"), "max_grad_norm must be positive"),
     ])
     def test_bad_train_setting_is_one_error_line(
             self, tmp_path, data_path, capsys, field, value, message):
@@ -406,15 +416,37 @@ class TestCliSummarize:
         assert len(out.split()) <= 1
 
     def test_beam_1_matches_greedy(self, trained, tmp_path, capsys):
-        _, ckpt, vocab, _ = trained
+        # --beam 1 decodes greedily; beam search of width 1 gives the same
+        _, ckpt, vocab_path, _ = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
-        outs = []
-        for beam in ("0", "1"):
-            main(["summarize", "--ckpt", ckpt, "--vocab", vocab,
-                  "--input", str(doc), "--beam", beam])
-            outs.append(capsys.readouterr().out)
+        main(["summarize", "--ckpt", ckpt, "--vocab", vocab_path,
+              "--input", str(doc), "--beam", "1"])
+        params, cfg = load_checkpoint(ckpt)
+        vocab = Vocabulary.load(vocab_path)
+        ids, ext, oov = encode_source(RECORDS[0].source, vocab)
+        hyp = beam_decode(params, ids, ext, len(oov), cfg,
+                          DecodeConfig(beam_width=1))
+        outs = [capsys.readouterr().out, decode(hyp.ids, vocab, oov) + "\n"]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--beam", "0"], "beam_width must be >= 1"),
+        (["--beam", "-3"], "beam_width must be >= 1"),
+        (["--max-len", "0"], "max_summary_len must be >= 1"),
+    ])
+    def test_bad_decode_setting_is_one_error_line(self, trained, tmp_path,
+                                                  capsys, flags, message):
+        _, ckpt, vocab, data = trained
+        doc = tmp_path / "doc.txt"
+        doc.write_text(RECORDS[0].source)
+        for command in (["summarize", "--input", str(doc)],
+                        ["evaluate", "--data", data]):
+            code = main(command + ["--ckpt", ckpt, "--vocab", vocab] + flags)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == "error: %s\n" % message
+            assert captured.out == ""
 
     def test_vocab_mismatch_rejected(self, trained, tmp_path, capsys):
         _, ckpt, _, _ = trained
@@ -489,3 +521,23 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "GPT-baseline" in out and "PointerGPT" in out
         assert out.count("Rouge-1") == 2 and out.count("Rouge-2") == 2
+
+    @pytest.mark.parametrize("decode, message", [
+        ({"beam_width": 0}, "beam_width must be >= 1"),
+        ({"max_summary_len": 0}, "max_summary_len must be >= 1"),
+    ])
+    def test_bad_decode_setting_fails_before_training(
+            self, tmp_path, capsys, monkeypatch, decode, message):
+        data = tmp_path / "copy.jsonl"
+        save_dataset(synthetic_copy_task(20, seed=2), str(data))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"decode": decode}))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the decode config")
+
+        monkeypatch.setattr("pointer_gpt.cli._train_model", no_training)
+        code = main(["compare", "--data", str(data), "--config",
+                     str(config), "--seed", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s\n" % message

@@ -254,20 +254,21 @@ def op_chain_linear(x, w, b):
 
 
 def split_heads(x, n_heads):
-    """[T, d] -> [H, T, d/H] as a tape op; head h gets columns
+    """[..., T, d] -> [..., H, T, d/H] as a tape op; head h gets columns
     [h, h+1) * d/H."""
-    t_len, d = x.shape
-    out = x.data.reshape(t_len, n_heads, d // n_heads).swapaxes(0, 1)
+    *lead, t_len, d = x.shape
+    out = x.data.reshape(*lead, t_len, n_heads, d // n_heads).swapaxes(-3, -2)
     return make_output(out, (x,), lambda g: (
-        g.swapaxes(0, 1).reshape(t_len, d),))
+        g.swapaxes(-3, -2).reshape(x.shape),))
 
 
 def merge_heads(x):
-    """[H, T, d_head] -> [T, H * d_head] as a tape op; inverts split_heads."""
-    n_heads, t_len, d_head = x.shape
-    out = x.data.swapaxes(0, 1).reshape(t_len, n_heads * d_head)
+    """[..., H, T, d_head] -> [..., T, H * d_head] as a tape op; inverts
+    split_heads."""
+    *lead, n_heads, t_len, d_head = x.shape
+    out = x.data.swapaxes(-3, -2).reshape(*lead, t_len, n_heads * d_head)
     return make_output(out, (x,), lambda g: (
-        g.reshape(t_len, n_heads, d_head).swapaxes(0, 1),))
+        g.reshape(*lead, t_len, n_heads, d_head).swapaxes(-3, -2),))
 
 
 def op_chain_attention(q, k, v, mask, n_heads):
@@ -280,36 +281,41 @@ def op_chain_attention(q, k, v, mask, n_heads):
 
 def pad_cols(x, extra):
     """Append `extra` zero columns, as a tape op."""
-    n, m = x.shape
-    out = np.zeros((n, m + extra), dtype=x.dtype)
-    out[:, :m] = x.data
-    return make_output(out, (x,), lambda g: (g[:, :m],))
+    m = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (m + extra,), dtype=x.dtype)
+    out[..., :m] = x.data
+    return make_output(out, (x,), lambda g: (g[..., :m],))
 
 
 def scatter_cols(values, col_ids, width):
-    """Zeros [n, width] plus values[n, i] at column col_ids[i], as a tape
-    op."""
-    n = values.shape[0]
-    out = np.zeros((n, width), dtype=values.dtype)
-    np.add.at(out, (np.arange(n)[:, None], col_ids[None, :]), values.data)
-    return make_output(out, (values,), lambda g: (g[:, col_ids],))
+    """Zeros [..., n, width] plus values[..., n, i] at column
+    col_ids[..., i], as a tape op."""
+    vd = values.data.reshape(-1, *values.shape[-2:])
+    ids = col_ids.reshape(len(vd), -1)
+    key = (np.arange(len(vd))[:, None, None], np.arange(vd.shape[1])[:, None],
+           ids[:, None, :])
+    out = np.zeros(vd.shape[:-1] + (width,), dtype=values.dtype)
+    np.add.at(out, key, vd)
+    return make_output(out.reshape(values.shape[:-1] + (width,)), (values,),
+                       lambda g: (g.reshape(out.shape)[key].reshape(
+                           values.shape),))
 
 
 def op_chain_scatter_add_cols(base, values, col_ids, width):
-    return ops.add(pad_cols(base, width - base.shape[1]),
+    return ops.add(pad_cols(base, width - base.shape[-1]),
                    scatter_cols(values, np.asarray(col_ids), width))
 
 
 def gather_cols(x, cols):
-    """x[n, cols[n]] as a column vector, as a tape op."""
-    rows = np.arange(x.shape[0])
+    """x[..., cols[...]] with a trailing axis of 1, as a tape op."""
+    cols = cols[..., None]
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        gx[rows, cols] = g[:, 0]
+        np.put_along_axis(gx, cols, g, axis=-1)
         return (gx,)
 
-    return make_output(x.data[rows, cols][:, None], (x,), bwd)
+    return make_output(np.take_along_axis(x.data, cols, axis=-1), (x,), bwd)
 
 
 def clamped_log(x):
@@ -319,9 +325,10 @@ def clamped_log(x):
         np.where(x.data > ops.LOG_FLOOR, g / clamped, 0.0),))
 
 
-def op_chain_nll(probs, targets):
+def op_chain_nll(probs, targets, weights):
     picked = gather_cols(probs, np.asarray(targets))
-    return ops.affine(ops.mean_all(clamped_log(picked)), -1.0)
+    return ops.affine(ops.sum_all(ops.mul(clamped_log(picked),
+                                          Tensor(weights[..., None]))), -1.0)
 
 
 class TestFusedOpsBitIdentity:
@@ -347,7 +354,7 @@ class TestFusedOpsBitIdentity:
         ids = teacher_forced_ids(ex, cfg.vocab_size)
         assert len(ids) == 57
         with Tape() as tape:
-            loss = sequence_loss(params, ex, cfg)
+            loss = sequence_loss(params, [ex], cfg)
         grads = backward(tape, loss)
         return ([forward_hidden(params, ids, cfg).data, loss.data]
                 + [grads[t] for t in params.values()])
@@ -378,10 +385,14 @@ class TestOpBudget:
                              oov=["marker"], target_ext_ids=[7, 60, 9, EOS])
 
     def test_sequence_loss_tape_records(self):
+        # one padded forward, pointer head and loss for any batch size
         params = init_params(self.CFG)
-        with Tape() as tape:
-            sequence_loss(params, self.EXAMPLE, self.CFG)
-        assert len(tape) <= 47
+        batch = [self.EXAMPLE] + mixed_batch(np.random.default_rng(0), v=60,
+                                             n_examples=7, max_len=64)
+        for examples in (batch[:1], batch):
+            with Tape() as tape:
+                sequence_loss(params, examples, self.CFG)
+            assert len(tape) <= 47
 
     @staticmethod
     def _count_op_calls(monkeypatch):
@@ -533,7 +544,7 @@ class TestSequenceLoss:
         params = init_params(cfg)
         params["w_vocab"].data[:] = 0.0
         ex = EncodedExample([6, 7, EOS], [6, 7, EOS], [], [7, EOS])
-        loss = float(sequence_loss(params, ex, cfg).data)
+        loss = float(sequence_loss(params, [ex], cfg).data)
         assert loss == pytest.approx(np.log(cfg.vocab_size), abs=1e-5)
 
     def test_near_certain_prediction_near_zero_loss(self):
@@ -547,7 +558,7 @@ class TestSequenceLoss:
         # column directions aligned with actual hidden states at each step
         params["w_vocab"].data[:, 9] = 50.0 * h[2] / np.linalg.norm(h[2])
         params["w_vocab"].data[:, EOS] = 50.0 * h[3] / np.linalg.norm(h[3])
-        loss = float(sequence_loss(params, hidden_probe, cfg).data)
+        loss = float(sequence_loss(params, [hidden_probe], cfg).data)
         assert loss < 0.05
 
     def test_overlong_example_rejected(self):
@@ -556,7 +567,7 @@ class TestSequenceLoss:
         ex = EncodedExample([6] * 14 + [EOS], [6] * 14 + [EOS], [],
                             [6, 6, 6, EOS])
         with pytest.raises(ValueError):
-            sequence_loss(params, ex, cfg)
+            sequence_loss(params, [ex], cfg)
 
     def test_full_model_gradcheck_extended_precision(self):
         # float64 finite differences bottom out around 1e-4 relative error
@@ -566,7 +577,7 @@ class TestSequenceLoss:
         params = init_params(cfg, dtype=np.longdouble)
 
         def f(*tensors):
-            return sequence_loss(params, TOY_EXAMPLE, cfg)
+            return sequence_loss(params, [TOY_EXAMPLE], cfg)
 
         err = gradcheck(f, params.values(), h=np.longdouble(1e-6))
         assert err < 1e-6
@@ -574,8 +585,109 @@ class TestSequenceLoss:
     def test_loss_is_finite_and_positive_at_init(self):
         cfg = tiny_config()
         params = init_params(cfg)
-        loss = float(sequence_loss(params, TOY_EXAMPLE, cfg).data)
+        loss = float(sequence_loss(params, [TOY_EXAMPLE], cfg).data)
         assert np.isfinite(loss) and loss > 0
+
+
+def mixed_batch(rng, v=20, n_examples=8, max_len=16):
+    """Examples of unequal source and target lengths, with repeated words
+    and source words outside the vocabulary, that fit max_len."""
+    examples = []
+    for _ in range(n_examples):
+        s = int(rng.integers(2, 9))
+        n = int(rng.integers(1, max_len - s + 1))
+        src = [int(i) for i in rng.integers(5, v, size=s - 1)] + [EOS]
+        ext = list(src)
+        oov = []
+        for pos in rng.choice(s - 1, size=min(int(rng.integers(0, 3)), s - 1),
+                              replace=False):
+            oov.append("w%d" % len(oov))
+            src[pos], ext[pos] = UNK, v + len(oov) - 1
+        pool = ext[:-1] + [int(i) for i in range(5, v)]
+        target = [int(rng.choice(pool)) for _ in range(n - 1)] + [EOS]
+        examples.append(EncodedExample(src, ext, oov, target))
+    return examples
+
+
+class TestBatchedSequenceLoss:
+    """One padded batch against the mean of its examples taken one by one."""
+
+    @staticmethod
+    def _losses(params, examples, cfg):
+        batch = float(sequence_loss(params, examples, cfg).data)
+        singles = [float(sequence_loss(params, [ex], cfg).data)
+                   for ex in examples]
+        return batch, float(np.mean(singles))
+
+    @staticmethod
+    def _grads(params, examples, cfg):
+        def grads_of(batch):
+            with Tape() as tape:
+                loss = sequence_loss(params, batch, cfg)
+            got = backward(tape, loss)
+            return [got[t] for t in params.values()]
+
+        singles = [grads_of([ex]) for ex in examples]
+        return grads_of(examples), [sum(g) / len(examples)
+                                    for g in zip(*singles)]
+
+    def _worst_loss_gap(self, seeds=range(4), baseline=False):
+        worst = 0.0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            cfg = tiny_config(seed=seed, baseline=baseline)
+            examples = mixed_batch(rng)
+            params = init_params(cfg)
+            batch, mean = self._losses(params, examples, cfg)
+            worst = max(worst, abs(batch - mean))
+        return worst
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_batch_of_8_loss_equals_mean_float32(self, baseline):
+        assert self._worst_loss_gap(baseline=baseline) <= 1e-6
+
+    def test_batch_of_8_gradients_equal_mean_float64(self):
+        # bounded by each tensor's largest |g|, not per entry: the
+        # attention key biases have a true gradient of 0 (softmax ignores a
+        # per-row shift), so theirs is rounding noise of about 1e-20, which
+        # the absolute 1e-15 covers
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            cfg = tiny_config(seed=seed)
+            examples = mixed_batch(rng)
+            params = init_params(cfg, dtype=np.float64)
+            batch, mean = self._grads(params, examples, cfg)
+            for name, got, want in zip(params, batch, mean):
+                bound = 1e-6 * np.abs(want).max() + 1e-15
+                assert np.abs(got - want).max() <= bound, name
+
+    def test_dropped_source_mask_is_caught(self, monkeypatch):
+        add = ops.add
+
+        def unmasked_add(a, b):  # the one constant operand is the mask
+            if not b.requires_grad:
+                b = Tensor(np.zeros_like(b.data))
+            return add(a, b)
+
+        monkeypatch.setattr(ops, "add", unmasked_add)
+        assert self._worst_loss_gap() > 1e-3
+
+    def test_weighted_padded_targets_are_caught(self, monkeypatch):
+        nll = ops.nll
+        monkeypatch.setattr(ops, "nll", lambda probs, targets, weights: nll(
+            probs, targets, np.where(weights == 0, weights.max(), weights)))
+        assert self._worst_loss_gap() > 1e-3
+
+    def test_batch_lengths_and_oov_vary(self):
+        examples = mixed_batch(np.random.default_rng(0))
+        assert len({len(ex.source_ids) for ex in examples}) > 1
+        assert len({len(ex.target_ext_ids) for ex in examples}) > 1
+        assert len({len(ex.oov) for ex in examples}) > 1
+
+    def test_empty_batch_rejected(self):
+        cfg = tiny_config()
+        with pytest.raises(ContractError, match="at least one example"):
+            sequence_loss(init_params(cfg), [], cfg)
 
 
 class TestDropout:
@@ -583,14 +695,15 @@ class TestDropout:
         cfg = tiny_config(dropout_rate=0.5)
         params = init_params(cfg)
         rng = np.random.default_rng(0)
-        losses = [float(sequence_loss(params, TOY_EXAMPLE, cfg, rng=rng).data)
+        losses = [float(sequence_loss(params, [TOY_EXAMPLE], cfg,
+                                      rng=rng).data)
                   for _ in range(3)]
         assert len(set(losses)) == 3
 
     def test_no_rng_equals_zero_rate(self):
         params = init_params(tiny_config())
-        plain = sequence_loss(params, TOY_EXAMPLE, tiny_config()).data
-        no_rng = sequence_loss(params, TOY_EXAMPLE,
+        plain = sequence_loss(params, [TOY_EXAMPLE], tiny_config()).data
+        no_rng = sequence_loss(params, [TOY_EXAMPLE],
                                tiny_config(dropout_rate=0.5)).data
         assert np.array_equal(plain, no_rng)
 

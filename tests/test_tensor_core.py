@@ -63,6 +63,38 @@ class TestMatmul:
             [a, b])
         assert err < 1e-6
 
+    def test_2d_right_operand_matches_per_slice(self):
+        rng = np.random.default_rng(22)
+        a = rng.normal(size=(3, 4, 5))
+        w = rng.normal(size=(5, 6))
+        out = ops.matmul(Tensor(a), Tensor(w)).data
+        assert out.shape == (3, 4, 6)
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a[i] @ w, rtol=1e-12)
+
+    def test_2d_right_operand_gradients_match_per_slice(self):
+        # the weight's gradient is the sum of every slice's gradient
+        rng = np.random.default_rng(23)
+        a, w = t64(rng.normal(size=(3, 4, 5))), t64(rng.normal(size=(5, 6)))
+        r = rng.normal(size=(3, 4, 6))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.matmul(a, w), Tensor(r)))
+        grads = backward(tape, loss)
+        for i in range(3):
+            np.testing.assert_allclose(grads[a][i], r[i] @ w.data.T,
+                                       rtol=1e-12)
+        np.testing.assert_allclose(
+            grads[w], sum(a.data[i].T @ r[i] for i in range(3)), rtol=1e-12)
+
+    def test_gradcheck_2d_right_operand(self):
+        rng = np.random.default_rng(24)
+        a = t64(rng.normal(size=(2, 3, 4, 5)))
+        w = t64(rng.normal(size=(5, 3)))
+        r = np.asarray(rng.normal(size=(2, 3, 4, 3)))
+        err = gradcheck(lambda x, y: ops.sum_all(
+            ops.mul(ops.matmul(x, y), Tensor(r))), [a, w])
+        assert err < 1e-6
+
 
 class TestLinear:
     def test_equals_matmul_plus_bias(self):
@@ -256,6 +288,28 @@ class TestLayerNorm:
             [x, gain, bias])
         assert err < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    def test_byte_equal_to_np_var_formula(self, dtype):
+        # the op reuses its centred values for the variance; np.var does
+        # the same arithmetic, so the output bytes must not move
+        rng = np.random.default_rng(5)
+        for shape in [(1, 1, 64), (4, 1, 64), (8, 49, 64), (57, 64),
+                      (3, 5, 8)]:
+            for _ in range(20):
+                xd, gain, bias = (rng.normal(size=s).astype(dtype)
+                                  for s in (shape, shape[-1:], shape[-1:]))
+                mu = xd.mean(axis=-1, keepdims=True)
+                var = xd.var(axis=-1, keepdims=True)
+                want = ((xd - mu) * (1.0 / np.sqrt(var + 1e-5)) * gain
+                        + bias)
+                got = ops.layer_norm(Tensor(xd), Tensor(gain),
+                                     Tensor(bias)).data
+                assert got.dtype == want.dtype == dtype
+                # value and sign equality: longdouble's padding bytes are
+                # undefined, so tobytes() cannot compare them
+                assert np.array_equal(got, want), shape
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestGelu:
     def test_zero(self):
@@ -423,8 +477,8 @@ class TestGradcheck:
         x = t64(rng.normal(size=(4, 6)))
         targets = np.array([1, 3, 0, 5])
 
-        assert gradcheck(lambda a: ops.nll(ops.softmax_rows(a), targets),
-                         x) < 1e-6
+        assert gradcheck(lambda a: ops.nll(ops.softmax_rows(a), targets,
+                                           np.full(4, 0.25)), x) < 1e-6
 
     def test_corrupted_backward_detected(self, monkeypatch):
         # negative control: a wrong gelu derivative must be flagged
@@ -470,7 +524,7 @@ class TestElementwiseOps:
     def test_nll_floor(self):
         probs = t64([[0.0, 1.0], [0.5, 0.5]])
         with Tape() as tape:
-            loss = ops.nll(probs, [0, 1])
+            loss = ops.nll(probs, [0, 1], [0.5, 0.5])
         np.testing.assert_allclose(loss.data,
                                    -(np.log(1e-12) + np.log(0.5)) / 2)
         np.testing.assert_array_equal(backward(tape, loss)[probs],
@@ -479,9 +533,113 @@ class TestElementwiseOps:
     def test_nll_input_checks(self):
         probs = Tensor(np.full((2, 3), 1.0 / 3.0))
         with pytest.raises(ShapeError, match="one target per row"):
-            ops.nll(probs, [0])
+            ops.nll(probs, [0], [1.0])
         with pytest.raises(ContractError, match="target out of range"):
-            ops.nll(probs, [0, 3])
+            ops.nll(probs, [0, 3], [0.5, 0.5])
+
+    def test_scatter_add_batched_matches_per_slice(self):
+        rng = np.random.default_rng(14)
+        base = t64(rng.normal(size=(3, 2, 4)))
+        vals = t64(rng.normal(size=(3, 2, 5)))
+        ids = np.array([[0, 5, 5, 1, 2], [4, 4, 4, 0, 3], [1, 2, 3, 4, 5]])
+        r = np.asarray(rng.normal(size=(3, 2, 6)))
+        with Tape() as tape:
+            out = ops.scatter_add_cols(base, vals, ids, 6)
+            loss = ops.sum_all(ops.mul(out, Tensor(r)))
+        grads = backward(tape, loss)
+        for i in range(3):
+            b, v = t64(base.data[i]), t64(vals.data[i])
+            with Tape() as tape:
+                one = ops.scatter_add_cols(b, v, ids[i], 6)
+                one_loss = ops.sum_all(ops.mul(one, Tensor(r[i])))
+            one_grads = backward(tape, one_loss)
+            np.testing.assert_array_equal(out.data[i], one.data)
+            np.testing.assert_array_equal(grads[base][i], one_grads[b])
+            np.testing.assert_array_equal(grads[vals][i], one_grads[v])
+
+    def test_scatter_add_batched_gradcheck(self):
+        rng = np.random.default_rng(15)
+        base = t64(rng.normal(size=(2, 3, 2)))
+        vals = t64(rng.normal(size=(2, 3, 4)))
+        ids = np.array([[0, 2, 2, 1], [3, 0, 3, 3]])
+        w = np.asarray(rng.normal(size=(2, 3, 4)))
+        err = gradcheck(
+            lambda b, v: ops.sum_all(ops.mul(
+                ops.scatter_add_cols(b, v, ids, 4), Tensor(w))), [base, vals])
+        assert err < 1e-6
+
+    def test_scatter_add_batched_ids_need_one_row_per_slice(self):
+        base, vals = Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros((2, 1, 3)))
+        with pytest.raises(ShapeError, match="col_ids"):
+            ops.scatter_add_cols(base, vals, [0, 1, 2], 3)
+
+    def test_nll_weighted_matches_per_row(self):
+        rng = np.random.default_rng(16)
+        probs = t64(rng.dirichlet(np.ones(5), size=(2, 3)))
+        targets = np.array([[0, 4, 2], [1, 1, 3]])
+        weights = np.array([[0.5, 0.25, 0.0], [0.125, 0.0, 0.125]])
+        with Tape() as tape:
+            loss = ops.nll(probs, targets, weights)
+        grad = backward(tape, loss)[probs]
+        want = np.zeros_like(probs.data)
+        total = 0.0
+        for b in range(2):
+            for n in range(3):
+                p = probs.data[b, n, targets[b, n]]
+                total -= weights[b, n] * np.log(p)
+                want[b, n, targets[b, n]] = -weights[b, n] / p
+        np.testing.assert_allclose(loss.data, total, rtol=1e-12)
+        np.testing.assert_allclose(grad, want, rtol=1e-12)
+        # weight 0 keeps a row out of the loss and the gradient
+        assert not grad[0, 2].any() and not grad[1, 1].any()
+
+    def test_nll_weighted_gradcheck(self):
+        rng = np.random.default_rng(17)
+        x = t64(rng.normal(size=(2, 3, 4)))
+        targets = np.array([[1, 3, 0], [2, 2, 1]])
+        weights = rng.uniform(size=(2, 3))
+        assert gradcheck(lambda a: ops.nll(ops.softmax_rows(a), targets,
+                                           weights), x) < 1e-6
+
+    def test_nll_weights_need_one_per_row(self):
+        probs = Tensor(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(ShapeError, match="one weight per row"):
+            ops.nll(probs, [0, 1], [1.0])
+
+    def test_take_rows_batched_matches_per_slice(self):
+        rng = np.random.default_rng(18)
+        table = t64(rng.normal(size=(3, 5, 2)))
+        ids = np.array([[0, 4, 4], [2, 2, 2], [1, 0, 3]])
+        r = np.asarray(rng.normal(size=(3, 3, 2)))
+        with Tape() as tape:
+            out = ops.take_rows(table, ids)
+            loss = ops.sum_all(ops.mul(out, Tensor(r)))
+        grad = backward(tape, loss)[table]
+        for i in range(3):
+            one = t64(table.data[i])
+            with Tape() as tape:
+                rows = ops.take_rows(one, ids[i])
+                one_loss = ops.sum_all(ops.mul(rows, Tensor(r[i])))
+            np.testing.assert_array_equal(out.data[i], rows.data)
+            np.testing.assert_array_equal(grad[i],
+                                          backward(tape, one_loss)[one])
+
+    def test_take_rows_batched_gradcheck(self):
+        rng = np.random.default_rng(19)
+        table = t64(rng.normal(size=(2, 4, 3)))
+        ids = np.array([[0, 3, 3, 1, 0], [2, 1, 2, 2, 0]])
+        w = np.asarray(rng.normal(size=(2, 5, 3)))
+        err = gradcheck(
+            lambda tb: ops.sum_all(ops.mul(ops.take_rows(tb, ids),
+                                           Tensor(w))), table)
+        assert err < 1e-6
+
+    def test_take_rows_batched_input_checks(self):
+        table = Tensor(np.zeros((2, 4, 3)))
+        with pytest.raises(ShapeError, match="batch axes"):
+            ops.take_rows(table, np.zeros((3, 2), dtype=int))
+        with pytest.raises(ContractError, match="out of range"):
+            ops.take_rows(table, [[0], [4]])
 
     def test_take_rows_gradcheck(self):
         rng = np.random.default_rng(13)

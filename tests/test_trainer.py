@@ -7,7 +7,8 @@ import pytest
 
 from pointer_gpt.model import ModelConfig, init_params
 from pointer_gpt.tokenizer import build_vocab, encode_example
-from pointer_gpt.trainer import TrainConfig, evaluate_loss, train
+from pointer_gpt.trainer import (TrainConfig, TrainingError, evaluate_loss,
+                                 train)
 
 SRC = "patient reports chronic sob and cough with mild fever ."
 TGT = "chronic sob and cough ."
@@ -64,6 +65,20 @@ class TestTrain:
         assert runs[0] == runs[1]
         assert runs[0] != runs[2]  # dropout is on while training
 
+    def test_non_finite_loss_names_step_and_examples(self, corpus):
+        vocab, example, cfg = corpus
+        other = encode_example("mild fever today .", "fever .", vocab)
+        dataset = [example, other, example]
+        params = init_params(cfg)
+        params["w_vocab"].data[0, 0] = np.nan
+        # seed 3 shuffles the first batch to [2, 1]: named in that order
+        first = np.random.default_rng(3).permutation(3)[:2].tolist()
+        assert first == [2, 1]
+        with pytest.raises(TrainingError) as err:
+            train(params, dataset, TrainConfig(batch_size=2, seed=3), cfg)
+        assert str(err.value) == ("non-finite loss at step 0 (examples %s)"
+                                  % first)
+
     def test_loss_decreases_from_init(self, corpus):
         _, example, cfg = corpus
         params = init_params(cfg)
@@ -107,7 +122,7 @@ class TestEvaluateLoss:
         from pointer_gpt.model import sequence_loss
         _, example, cfg = corpus
         params = init_params(cfg)
-        direct = float(sequence_loss(params, example, cfg).data)
+        direct = float(sequence_loss(params, [example], cfg).data)
         assert evaluate_loss(params, [example], cfg) == pytest.approx(direct)
 
     def test_order_invariant(self, corpus):
