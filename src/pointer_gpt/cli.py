@@ -8,8 +8,11 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .data import DatasetError, load_dataset, split_by_index
+from .data import (DatasetError, load_dataset, require_tokens,
+                   split_by_index)
 from .decoder import DecodeConfig, beam_decode, greedy_decode
 from .model import ModelConfig, init_params, positions_needed
 from .rouge import format_report_table, rouge_report
@@ -159,6 +162,7 @@ def cmd_summarize(args):
     else:
         with open(args.input, "r", encoding="utf-8") as f:
             text = f.read()
+    require_tokens(text, "input %s" % args.input)
     print(_decode_text(params, model_cfg, vocab, text, dcfg))
     return 0
 
@@ -257,7 +261,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # no numpy warnings: one error line
+            return args.func(args)
     except (CliError, DatasetError, TrainingError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

@@ -20,6 +20,12 @@ class DatasetError(ValueError):
     """Malformed dataset file."""
 
 
+def require_tokens(text, what):
+    """The one empty-text rule: text must keep a token after tokenize."""
+    if not tokenize(text):
+        raise DatasetError("%s is empty after tokenization" % what)
+
+
 def load_dataset(path):
     """JSONL with string fields "source" and "summary"; blank lines skipped."""
     records = []
@@ -41,9 +47,8 @@ def load_dataset(path):
                 if not isinstance(obj[fieldname], str):
                     raise DatasetError('line %d: field "%s" must be a string'
                                        % (lineno, fieldname))
-                if not tokenize(obj[fieldname]):
-                    raise DatasetError('line %d: field "%s" is empty after '
-                                       "tokenization" % (lineno, fieldname))
+                require_tokens(obj[fieldname],
+                               'line %d: field "%s"' % (lineno, fieldname))
             records.append(DatasetRecord(obj["source"], obj["summary"]))
     return records
 

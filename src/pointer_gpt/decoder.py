@@ -22,12 +22,15 @@ from .tokenizer import EOS, SEP
 class DecodeConfig:
     max_summary_len: int = 32
     beam_width: int = 1
+    MAX_BEAM_WIDTH = 64  # a beam step runs beam_width prefixes as one batch
 
     def __post_init__(self):
         if self.max_summary_len < 1:
             raise ValueError("max_summary_len must be >= 1")
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
+        if self.beam_width > self.MAX_BEAM_WIDTH:
+            raise ValueError("beam_width must be <= %d" % self.MAX_BEAM_WIDTH)
 
 
 @dataclass
@@ -129,17 +132,13 @@ def beam_search(step_fn, max_len, beam_width):
     return max(pool, key=lambda h: (h.log_prob, tuple(-i for i in h.ids)))
 
 
-def _strip_eos(ids):
-    return [i for i in ids if i != EOS]
-
-
 def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,
                   dcfg=None):
     dcfg = dcfg or DecodeConfig()
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
-    return _strip_eos(greedy_search(step_fn, limit).ids)
+    return [i for i in greedy_search(step_fn, limit).ids if i != EOS]
 
 
 def beam_decode(params, source_ids, source_ext_ids, oov_count, config, dcfg):

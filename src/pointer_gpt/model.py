@@ -167,7 +167,7 @@ class PointerOutput:
 
 
 def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
-    """Batched pointer head: returns (attn, p_gen, mixed) Tensors.
+    """Batched pointer head: (attn, p_gen) arrays and the mixed Tensor.
 
     h_src [B, S, d] are the final-layer states at the source positions (the
     encoder side); each row of h_t [B, N, d] is the state at a position whose
@@ -176,7 +176,6 @@ def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
     len(source_ext_ids[b]) rows of h_src, and the copy attention is masked
     off the rows after them.
     """
-    v = config.vocab_size
     b, s = h_src.shape[:2]
     lens = np.array([len(ids) for ids in source_ext_ids], dtype=np.int64)
     if lens.shape != (b,) or h_t.shape[0] != b:
@@ -188,28 +187,12 @@ def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
     ext_ids = np.zeros((b, s), dtype=np.int64)  # padding copies 0 mass
     for row, ids in zip(ext_ids, source_ext_ids):
         row[:len(ids)] = ids
-    if ext_ids.max() >= v + oov_count:
-        raise ContractError("oov_count %d inconsistent with max extended id %d"
-                            % (oov_count, int(ext_ids.max())))
-    col_mask = np.where(np.arange(s) < lens[:, None], 0.0, NEG_INF)
-
-    scores = ops.matmul(ops.matmul(h_t, params["ptr.w"]), ops.transpose(h_src))
-    attn = ops.softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
-                                                   dtype=h_src.dtype)))
-    context = ops.matmul(attn, h_src)
-
-    vocab_dist = ops.softmax_rows(ops.matmul(h_t, params["w_vocab"]))
-    if config.baseline:
-        p_gen = Tensor(np.ones(h_t.shape[:-1] + (1,)), dtype=h_t.dtype)
-    else:
-        gate_logit = ops.add(ops.linear(h_t, params["gate.w_h"],
-                                        params["gate.b"]),
-                             ops.matmul(context, params["gate.w_c"]))
-        p_gen = ops.sigmoid(gate_logit)
-
-    copy_weights = ops.mul(ops.affine(p_gen, -1.0, 1.0), attn)
-    mixed = ops.scatter_add_cols(ops.mul(p_gen, vocab_dist), copy_weights,
-                                 ext_ids, v + oov_count)
+    gate = None if config.baseline else tuple(
+        params["gate." + name] for name in ("w_h", "b", "w_c"))
+    mixed, attn, p_gen = ops.pointer_mixture(
+        h_src, h_t, params["ptr.w"], params["w_vocab"], gate,
+        np.where(np.arange(s) < lens[:, None], 0.0, NEG_INF), ext_ids,
+        config.vocab_size + oov_count)
     return attn, p_gen, mixed
 
 
@@ -223,8 +206,7 @@ def pointer_step(params, hidden, step, source_len, source_ext_ids,
     attn, p_gen, mixed = pointer_head(
         params, ops.take_rows(hidden, [np.arange(source_len)]),
         ops.take_rows(hidden, [[step]]), [source_ext_ids], oov_count, config)
-    return PointerOutput(attn=attn.data[0, 0].copy(),
-                         p_gen=float(p_gen.data[0, 0, 0]),
+    return PointerOutput(attn=attn[0, 0].copy(), p_gen=float(p_gen[0, 0, 0]),
                          mixed=mixed.data[0, 0].copy())
 
 

@@ -28,6 +28,11 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _weight_grad(x, g):
+    """The gradient of a 2-D w in x @ w: x^T @ g over all leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def add(a, b):
     out = a.data + b.data
 
@@ -47,16 +52,6 @@ def mul(a, b):
     return make_output(out, (a, b), bwd)
 
 
-def affine(x, scale=1.0, shift=0.0):
-    """scale * x + shift with python-float coefficients."""
-    out = scale * x.data + shift
-
-    def bwd(g):
-        return (scale * g,)
-
-    return make_output(out, (x,), bwd)
-
-
 def matmul(a, b):
     """Product over the last two axes. The leading (batch) axes must match,
     or b is 2-D and multiplies every leading slice of a."""
@@ -71,11 +66,8 @@ def matmul(a, b):
     out = ad @ bd
 
     def bwd(g):
-        if bd.ndim == 2:  # reduced over a's leading axes, as in linear
-            gb = (ad.reshape(-1, ad.shape[-1]).swapaxes(-1, -2)
-                  @ g.reshape(-1, g.shape[-1]))
-        else:
-            gb = ad.swapaxes(-1, -2) @ g
+        gb = (_weight_grad(ad, g) if bd.ndim == 2
+              else ad.swapaxes(-1, -2) @ g)
         return g @ bd.swapaxes(-1, -2), gb
 
     return make_output(out, (a, b), bwd)
@@ -87,8 +79,7 @@ def linear(x, w, b):
     out = xd @ wd + b.data
 
     def bwd(g):
-        xt = xd.reshape(-1, xd.shape[-1]).swapaxes(-1, -2)
-        return (g @ wd.swapaxes(-1, -2), xt @ g.reshape(-1, g.shape[-1]),
+        return (g @ wd.swapaxes(-1, -2), _weight_grad(xd, g),
                 _unbroadcast(g, b.data.shape))
 
     return make_output(out, (x, w, b), bwd)
@@ -122,15 +113,6 @@ def _gelu_grad(xd, t):
     sech2 = 1.0 - t * t
     return (0.5 * (1.0 + t)
             + 0.5 * xd * sech2 * GELU_C * (1.0 + 3.0 * GELU_A * (xd * xd)))
-
-
-def sigmoid(x):
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def bwd(g):
-        return (g * out * (1.0 - out),)
-
-    return make_output(out, (x,), bwd)
 
 
 def _softmax(xd):
@@ -234,30 +216,65 @@ def causal_attention(q, k, v, mask, n_heads):
     return make_output(out, (q, k, v), bwd)
 
 
-def scatter_add_cols(base, values, col_ids, width):
-    """base [..., n, m] widened with zero columns to `width`, plus
-    values[..., n, i] added at column col_ids[..., i]; col_ids has the
-    leading axes of values and duplicate ids accumulate."""
-    ids = np.asarray(col_ids, dtype=np.int64)
-    vd = values.data
-    m = base.data.shape[-1]
-    if ids.shape != vd.shape[:-2] + vd.shape[-1:]:
-        raise ShapeError("col_ids length %d != values width %d (col_ids %s, "
-                         "values %s)" % (ids.shape[-1] if ids.ndim else 0,
-                                         vd.shape[-1], ids.shape, vd.shape))
+def pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask, ext_ids,
+                    width):
+    """The pointer head as one tape record; returns (mixed, attn, p_gen).
+
+    attn = softmax(h_t @ w_ptr @ h_src^T + col_mask) for h_src [..., S, d],
+    h_t [..., N, d] and col_mask [..., S]; p_gen = sigmoid(h_t @ w_h + b +
+    (attn @ h_src) @ w_c) for gate (w_h, b, w_c), or 1 if gate is None.
+    mixed [..., N, width] is p_gen * softmax(h_t @ w_vocab) plus
+    (1 - p_gen) * attn[..., i] added at column ext_ids[..., i] (duplicates
+    accumulate). attn and p_gen are plain arrays, without a gradient."""
+    hs, ht, wp, wv = h_src.data, h_t.data, w_ptr.data, w_vocab.data
+    ids = np.asarray(ext_ids, dtype=np.int64)
+    if ids.shape != hs.shape[:-1]:
+        raise ShapeError("ext_ids %s vs h_src %s" % (ids.shape, hs.shape))
     if ids.size and (ids.min() < 0 or ids.max() >= width):
-        raise ContractError("scatter index out of range [0, %d)" % width)
-    cols = ids[..., None, :]  # the same ids for every row n
-    key = _lead_index(vd.shape[:-2], cols.ndim) + (
-        np.arange(vd.shape[-2])[:, None], cols)
-    out = np.zeros(vd.shape[:-1] + (width,), dtype=values.dtype)
-    np.add.at(out, key, vd)
-    out[..., :m] += base.data
+        raise ContractError("ext_ids out of range [0, %d)" % width)
+    a1, hs_t = ht @ wp, hs.swapaxes(-1, -2)
+    attn = _softmax(a1 @ hs_t
+                    + np.asarray(col_mask, dtype=hs.dtype)[..., None, :])
+    vocab = _softmax(ht @ wv)
+    p_gen = np.ones(ht.shape[:-1] + (1,), dtype=ht.dtype)
+    if gate is not None:
+        w_h, b, w_c = gate
+        context = attn @ hs
+        p_gen = 1.0 / (1.0 + np.exp(-(ht @ w_h.data + b.data
+                                      + context @ w_c.data)))
+    cpl = 1.0 - p_gen
+    key = _lead_index(attn.shape[:-2], ids.ndim + 1) + (
+        np.arange(attn.shape[-2])[:, None], ids[..., None, :])
+    out = np.zeros(attn.shape[:-1] + (width,), dtype=attn.dtype)
+    np.add.at(out, key, cpl * attn)
+    out[..., :wv.shape[-1]] += p_gen * vocab
 
+    # terms add up in the order of the op-by-op chain, so both round alike
     def bwd(g):
-        return g[..., :m], g[key]
+        g_gen, g_copy = g[..., :wv.shape[-1]], g[key]
+        g_logits = _softmax_grad(g_gen * p_gen, vocab)
+        g_ht = g_logits @ wv.swapaxes(-1, -2)
+        g_attn, g_gate = g_copy * cpl, ()
+        if gate is not None:
+            g_p = (_unbroadcast(g_gen * vocab, p_gen.shape)
+                   - _unbroadcast(g_copy * attn, cpl.shape))
+            g_logit = g_p * p_gen * (1.0 - p_gen)
+            g_context = g_logit @ w_c.data.swapaxes(-1, -2)
+            g_ht = g_logit @ w_h.data.swapaxes(-1, -2) + g_ht
+            g_attn = g_attn + g_context @ hs_t
+            g_gate = (_weight_grad(ht, g_logit),
+                      _unbroadcast(g_logit, b.data.shape),
+                      _weight_grad(context, g_logit))
+        g_scores = _softmax_grad(g_attn, attn)
+        g_a1 = g_scores @ hs
+        g_hs = (a1.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
+        if gate is not None:
+            g_hs = attn.swapaxes(-1, -2) @ g_context + g_hs
+        return (g_hs, g_ht + g_a1 @ wp.swapaxes(-1, -2),
+                _weight_grad(ht, g_a1), _weight_grad(ht, g_logits)) + g_gate
 
-    return make_output(out, (base, values), bwd)
+    inputs = (h_src, h_t, w_ptr, w_vocab) + (gate or ())
+    return make_output(out, inputs, bwd), attn, p_gen
 
 
 def nll(probs, targets, weights):

@@ -66,6 +66,8 @@ def build_vocab(corpus, max_size, min_freq=1):
     """Specials + most-frequent tokens, ties broken lexicographically."""
     if max_size <= 5:
         raise ValueError("max_size must exceed the 5 reserved specials")
+    if min_freq < 1:
+        raise ValueError("min_freq must be at least 1, got %r" % min_freq)
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))

@@ -53,16 +53,6 @@ class TrainReport:
     wall_clock: float = 0.0
 
 
-def evaluate_loss(params, dataset, mcfg):
-    """Mean sequence loss, no grad recording, order-invariant."""
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
-    total = 0.0
-    for ex in dataset:
-        total += float(sequence_loss(params, [ex], mcfg).data)
-    return total / len(dataset)
-
-
 def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     """Epochs of seeded-shuffle batches: loss, backward, clip, Adam.
 

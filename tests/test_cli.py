@@ -348,6 +348,30 @@ class TestCliTrain:
         assert len(err.splitlines()) == 1
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_bad_vocab_setting_is_one_error_line(self, tmp_path, data_path,
+                                                 capsys, min_freq):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"vocab": {"min_freq": min_freq}}))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: min_freq must be at least 1, got %d\n" % min_freq)
+
+    def test_overflow_is_one_error_line_without_warnings(
+            self, tmp_path, data_path, capsys, recwarn):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"lr": 1e308}}))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: non-finite loss at step ")
+        assert len(err.splitlines()) == 1
+        assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)
+                ] == []
+
     @pytest.mark.parametrize("summary, code", [
         ("a b c d e", 0), ("a b c d e f", 1)], ids=["fits", "one-over"])
     def test_length_limit(self, tmp_path, capsys, summary, code):
@@ -448,6 +472,46 @@ class TestCliSummarize:
             assert captured.err == "error: %s\n" % message
             assert captured.out == ""
 
+    def test_beam_above_maximum_fails_before_loading(
+            self, trained, tmp_path, capsys, monkeypatch):
+        _, ckpt, vocab, data = trained
+        doc = tmp_path / "doc.txt"
+        doc.write_text(RECORDS[0].source)
+        DecodeConfig(beam_width=DecodeConfig.MAX_BEAM_WIDTH)
+
+        def no_loading(args):
+            raise AssertionError("loaded the model before checking --beam")
+
+        monkeypatch.setattr("pointer_gpt.cli._load_model", no_loading)
+        beam = str(DecodeConfig.MAX_BEAM_WIDTH + 1)
+        for command in (["summarize", "--input", str(doc)],
+                        ["evaluate", "--data", data]):
+            code = main(command + ["--ckpt", ckpt, "--vocab", vocab,
+                                   "--beam", beam])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == "error: beam_width must be <= %d\n" % (
+                DecodeConfig.MAX_BEAM_WIDTH)
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("text", ["", " \n\t "], ids=["empty", "blank"])
+    def test_empty_source_is_one_error_line(self, trained, tmp_path, capsys,
+                                            text):
+        _, ckpt, vocab, _ = trained
+        doc = tmp_path / "doc.txt"
+        doc.write_text(text)
+        data = tmp_path / "data.jsonl"
+        data.write_text(json.dumps({"source": text, "summary": "a"}) + "\n")
+        for command, where in (
+                (["summarize", "--input", str(doc)], "input %s" % doc),
+                (["evaluate", "--data", str(data)], 'line 1: field "source"')):
+            code = main(command + ["--ckpt", ckpt, "--vocab", vocab])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == (
+                "error: %s is empty after tokenization\n" % where)
+            assert captured.out == ""
+
     def test_vocab_mismatch_rejected(self, trained, tmp_path, capsys):
         _, ckpt, _, _ = trained
         bad = tmp_path / "vocab.txt"
@@ -525,6 +589,7 @@ class TestCompare:
     @pytest.mark.parametrize("decode, message", [
         ({"beam_width": 0}, "beam_width must be >= 1"),
         ({"max_summary_len": 0}, "max_summary_len must be >= 1"),
+        ({"beam_width": 65}, "beam_width must be <= 64"),
     ])
     def test_bad_decode_setting_fails_before_training(
             self, tmp_path, capsys, monkeypatch, decode, message):

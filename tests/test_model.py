@@ -271,10 +271,21 @@ def merge_heads(x):
         g.reshape(*lead, t_len, n_heads, d_head).swapaxes(-3, -2),))
 
 
+def affine(x, scale, shift=0.0):
+    """scale * x + shift with python-float coefficients, as a tape op."""
+    return make_output(scale * x.data + shift, (x,), lambda g: (scale * g,))
+
+
+def sigmoid(x):
+    """The logistic function, as a tape op."""
+    out = 1.0 / (1.0 + np.exp(-x.data))
+    return make_output(out, (x,), lambda g: (g * out * (1.0 - out),))
+
+
 def op_chain_attention(q, k, v, mask, n_heads):
     qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    scores = ops.affine(ops.matmul(qh, ops.transpose(kh)), scale)
+    scores = affine(ops.matmul(qh, ops.transpose(kh)), scale)
     attn = ops.softmax_rows(ops.add(scores, Tensor(mask)))
     return merge_heads(ops.matmul(attn, vh))
 
@@ -327,20 +338,39 @@ def clamped_log(x):
 
 def op_chain_nll(probs, targets, weights):
     picked = gather_cols(probs, np.asarray(targets))
-    return ops.affine(ops.sum_all(ops.mul(clamped_log(picked),
-                                          Tensor(weights[..., None]))), -1.0)
+    return affine(ops.sum_all(ops.mul(clamped_log(picked),
+                                      Tensor(weights[..., None]))), -1.0)
+
+
+def op_chain_pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask,
+                             ext_ids, width):
+    scores = ops.matmul(ops.matmul(h_t, w_ptr), ops.transpose(h_src))
+    attn = ops.softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
+                                                   dtype=h_src.dtype)))
+    context = ops.matmul(attn, h_src)
+    vocab_dist = ops.softmax_rows(ops.matmul(h_t, w_vocab))
+    if gate is None:
+        p_gen = Tensor(np.ones(h_t.shape[:-1] + (1,)), dtype=h_t.dtype)
+    else:
+        w_h, b, w_c = gate
+        p_gen = sigmoid(ops.add(ops.linear(h_t, w_h, b),
+                                ops.matmul(context, w_c)))
+    copy_weights = ops.mul(affine(p_gen, -1.0, 1.0), attn)
+    mixed = op_chain_scatter_add_cols(ops.mul(p_gen, vocab_dist),
+                                      copy_weights, ext_ids, width)
+    return mixed, attn.data, p_gen.data
 
 
 class TestFusedOpsBitIdentity:
-    """linear, causal_attention, scatter_add_cols and nll against the op
-    chains they replace, with the heads split and merged by their own tape
-    ops."""
+    """linear, causal_attention, pointer_mixture and nll against the op
+    chains they replace, with the heads split and merged, the scatter, the
+    gate's sigmoid and the affine steps done by their own tape ops."""
 
-    def _hidden_and_grads(self, dtype):
+    def _hidden_and_grads(self, dtype, baseline):
         # heads of 32: scale 1/sqrt(32) is no power of two, so where the
         # backward applies it changes the rounding
         cfg = ModelConfig(vocab_size=60, d_model=64, n_heads=2, n_layers=2,
-                          d_ff=128, max_seq_len=64, seed=5)
+                          d_ff=128, max_seq_len=64, seed=5, baseline=baseline)
         params = init_params(cfg, dtype=dtype)
         rng = np.random.default_rng(0)
         for t in params.values():  # nonzero biases, unequal gains
@@ -356,23 +386,27 @@ class TestFusedOpsBitIdentity:
         with Tape() as tape:
             loss = sequence_loss(params, [ex], cfg)
         grads = backward(tape, loss)
+        # the frozen baseline gate is never reached
         return ([forward_hidden(params, ids, cfg).data, loss.data]
-                + [grads[t] for t in params.values()])
+                + [grads[t] for t in params.values() if t in grads])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_hidden_and_gradients_byte_equal_at_t57(self, dtype,
                                                     monkeypatch):
-        fused = self._hidden_and_grads(dtype)
-        monkeypatch.setattr(ops, "linear", op_chain_linear)
-        monkeypatch.setattr(ops, "causal_attention", op_chain_attention)
-        monkeypatch.setattr(ops, "scatter_add_cols", op_chain_scatter_add_cols)
-        monkeypatch.setattr(ops, "nll", op_chain_nll)
-        chain = self._hidden_and_grads(dtype)
-        assert len(fused) == len(chain) == 2 + len(param_specs(
-            ModelConfig(vocab_size=60, n_layers=2)))
-        for got, want in zip(fused, chain):
-            assert got.dtype == want.dtype == dtype
-            assert got.tobytes() == want.tobytes()
+        n_params = len(param_specs(ModelConfig(vocab_size=60, n_layers=2)))
+        for baseline, n_grads in ((False, n_params), (True, n_params - 3)):
+            with monkeypatch.context() as patch:
+                fused = self._hidden_and_grads(dtype, baseline)
+                patch.setattr(ops, "linear", op_chain_linear)
+                patch.setattr(ops, "causal_attention", op_chain_attention)
+                patch.setattr(ops, "pointer_mixture",
+                              op_chain_pointer_mixture)
+                patch.setattr(ops, "nll", op_chain_nll)
+                chain = self._hidden_and_grads(dtype, baseline)
+            assert len(fused) == len(chain) == 2 + n_grads
+            for got, want in zip(fused, chain):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestOpBudget:
@@ -392,7 +426,7 @@ class TestOpBudget:
         for examples in (batch[:1], batch):
             with Tape() as tape:
                 sequence_loss(params, examples, self.CFG)
-            assert len(tape) <= 47
+            assert len(tape) <= 33
 
     @staticmethod
     def _count_op_calls(monkeypatch):
@@ -421,7 +455,7 @@ class TestOpBudget:
         step_fn([()])
         calls = self._count_op_calls(monkeypatch)
         step_fn([(7,)])
-        assert 0 < len(calls) <= 44
+        assert 0 < len(calls) <= 30
 
 
 class TestPointerStep:
@@ -662,14 +696,13 @@ class TestBatchedSequenceLoss:
                 assert np.abs(got - want).max() <= bound, name
 
     def test_dropped_source_mask_is_caught(self, monkeypatch):
-        add = ops.add
+        mixture = ops.pointer_mixture
 
-        def unmasked_add(a, b):  # the one constant operand is the mask
-            if not b.requires_grad:
-                b = Tensor(np.zeros_like(b.data))
-            return add(a, b)
+        def unmasked(h_src, h_t, w_ptr, w_vocab, gate, col_mask, *rest):
+            return mixture(h_src, h_t, w_ptr, w_vocab, gate,
+                           np.zeros_like(col_mask), *rest)
 
-        monkeypatch.setattr(ops, "add", unmasked_add)
+        monkeypatch.setattr(ops, "pointer_mixture", unmasked)
         assert self._worst_loss_gap() > 1e-3
 
     def test_weighted_padded_targets_are_caught(self, monkeypatch):

@@ -1,5 +1,9 @@
 """Tests for the tensor/autodiff kernel, optimizer, and gradcheck oracle."""
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,7 +151,7 @@ class TestCausalAttention:
 
     def test_matches_the_op_chain(self):
         q, k, v, mask, _ = attention_inputs(29, (2,), 5, 2)
-        scores = ops.affine(ops.matmul(q, ops.transpose(k)), 0.5)
+        scores = ops.mul(ops.matmul(q, ops.transpose(k)), Tensor(0.5))
         chain = ops.matmul(ops.softmax_rows(ops.add(scores, Tensor(mask))), v)
         np.testing.assert_array_equal(
             ops.causal_attention(q, k, v, mask, 1).data, chain.data)
@@ -466,6 +470,37 @@ class TestClipGradNorm:
         np.testing.assert_array_equal(grads[a], before)
 
 
+def mixture_inputs(lead, gated, seed=14):
+    """float64 pointer_mixture inputs for `lead` examples of 4 source rows,
+    3 decoder rows, d 4 and a vocabulary of 5: (h_src, h_t, w_ptr, w_vocab,
+    gate, col_mask, ext_ids), with duplicate ext_ids below the width 8.
+    With more than one example, the last one's last source row is masked
+    off."""
+    rng = np.random.default_rng(seed)
+    h_src, h_t = (t64(rng.normal(size=lead + (n, 4))) for n in (4, 3))
+    w_ptr, w_vocab = (t64(rng.normal(size=shape)) for shape in ((4, 4),
+                                                               (4, 5)))
+    gate = tuple(t64(rng.normal(size=shape)) for shape in ((4, 1), (1, 1),
+                                                           (4, 1)))
+    mask = np.zeros(lead + (4,))
+    if lead[0] > 1:
+        mask[-1, -1] = -1e9
+    ids = rng.integers(0, 8, size=lead + (4,))
+    ids[..., 1] = ids[..., 0]
+    return h_src, h_t, w_ptr, w_vocab, gate if gated else None, mask, ids
+
+
+def mixture_gradcheck_error(lead, gated):
+    h_src, h_t, w_ptr, w_vocab, gate, mask, ids = mixture_inputs(lead, gated)
+    r = np.random.default_rng(16).normal(size=lead + (3, 8))
+
+    def f(*t):
+        mixed = ops.pointer_mixture(*t[:4], t[4:] or None, mask, ids, 8)[0]
+        return ops.sum_all(ops.mul(mixed, Tensor(r)))
+
+    return gradcheck(f, [h_src, h_t, w_ptr, w_vocab] + list(gate or ()))
+
+
 class TestGradcheck:
     def test_sum_has_zero_error(self):
         # power-of-two step keeps every float op exact for a linear f
@@ -492,34 +527,35 @@ class TestGradcheck:
 
 
 class TestElementwiseOps:
-    def test_sigmoid_gradcheck(self):
-        rng = np.random.default_rng(11)
-        x = t64(rng.normal(size=(4,)))
-        assert gradcheck(lambda a: ops.sum_all(ops.sigmoid(a)), x) < 1e-6
+    # pointer_mixture scatter-adds the copy mass (1 - p_gen) * attn onto
+    # the extended-vocabulary columns of each example's source ids
 
     def test_scatter_add_accumulates_duplicates(self):
-        base = Tensor(np.array([[0.125, 0.375]]))
-        vals = Tensor(np.array([[0.25, 0.25, 0.5]]))
-        out = ops.scatter_add_cols(base, vals, np.array([1, 1, 3]), 4)
-        np.testing.assert_allclose(out.data, [[0.125, 0.875, 0.0, 0.5]])
+        # zero h_t and weights: attn is uniform, p_gen = sigmoid(0) = 0.5
+        # and the vocab softmax over 2 columns is uniform
+        h_src, h_t, w_ptr, w_vocab, w_h, b, w_c = (
+            t64(np.zeros(shape)) for shape in ((1, 3, 2), (1, 1, 2), (2, 2),
+                                               (2, 2), (2, 1), (1, 1), (2, 1)))
+        mixed, attn, p_gen = ops.pointer_mixture(
+            h_src, h_t, w_ptr, w_vocab, (w_h, b, w_c), np.zeros((1, 3)),
+            np.array([[1, 1, 3]]), 4)
+        np.testing.assert_allclose(attn, np.full((1, 1, 3), 1.0 / 3.0))
+        assert p_gen.tolist() == [[[0.5]]]
+        np.testing.assert_allclose(
+            mixed.data, [[[0.25, 0.25 + 1.0 / 3.0, 0.0, 1.0 / 6.0]]])
 
     def test_scatter_add_gradcheck(self):
-        rng = np.random.default_rng(12)
-        base = t64(rng.normal(size=(2, 2)))
-        vals = t64(rng.normal(size=(2, 4)))
-        ids = np.array([0, 2, 2, 1])
-        w = np.asarray(rng.normal(size=(2, 3)))
-        err = gradcheck(
-            lambda b, v: ops.sum_all(ops.mul(
-                ops.scatter_add_cols(b, v, ids, 3), Tensor(w))), [base, vals])
-        assert err < 1e-6
+        # every input, the gated head and the baseline (gate None)
+        for gate in (True, False):
+            assert mixture_gradcheck_error(lead=(1,), gated=gate) < 1e-6
 
     def test_scatter_add_input_checks(self):
-        base, vals = Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 3)))
-        with pytest.raises(ShapeError, match="col_ids length 2"):
-            ops.scatter_add_cols(base, vals, [0, 1], 3)
+        args = mixture_inputs((1,), gated=True)[:-2]
+        mask = np.zeros((1, 4))
+        with pytest.raises(ShapeError, match="ext_ids"):
+            ops.pointer_mixture(*args, mask, [[0, 1]], 8)
         with pytest.raises(ContractError, match="out of range"):
-            ops.scatter_add_cols(base, vals, [0, 1, 3], 3)
+            ops.pointer_mixture(*args, mask, [[0, 1, 2, 8]], 8)
 
     def test_nll_floor(self):
         probs = t64([[0.0, 1.0], [0.5, 0.5]])
@@ -538,40 +574,41 @@ class TestElementwiseOps:
             ops.nll(probs, [0, 3], [0.5, 0.5])
 
     def test_scatter_add_batched_matches_per_slice(self):
-        rng = np.random.default_rng(14)
-        base = t64(rng.normal(size=(3, 2, 4)))
-        vals = t64(rng.normal(size=(3, 2, 5)))
-        ids = np.array([[0, 5, 5, 1, 2], [4, 4, 4, 0, 3], [1, 2, 3, 4, 5]])
-        r = np.asarray(rng.normal(size=(3, 2, 6)))
+        args = mixture_inputs((3,), gated=True)
+        h_src, h_t, w_ptr, w_vocab, gate, mask, ids = args
+        r = np.random.default_rng(15).normal(size=(3, 3, 8))
         with Tape() as tape:
-            out = ops.scatter_add_cols(base, vals, ids, 6)
+            out = ops.pointer_mixture(*args, 8)[0]
             loss = ops.sum_all(ops.mul(out, Tensor(r)))
         grads = backward(tape, loss)
+        summed = {t: 0.0 for t in (w_ptr, w_vocab) + gate}
         for i in range(3):
-            b, v = t64(base.data[i]), t64(vals.data[i])
+            hs, ht = t64(h_src.data[i:i + 1]), t64(h_t.data[i:i + 1])
             with Tape() as tape:
-                one = ops.scatter_add_cols(b, v, ids[i], 6)
-                one_loss = ops.sum_all(ops.mul(one, Tensor(r[i])))
+                one = ops.pointer_mixture(hs, ht, w_ptr, w_vocab, gate,
+                                          mask[i:i + 1], ids[i:i + 1], 8)[0]
+                one_loss = ops.sum_all(ops.mul(one, Tensor(r[i:i + 1])))
             one_grads = backward(tape, one_loss)
-            np.testing.assert_array_equal(out.data[i], one.data)
-            np.testing.assert_array_equal(grads[base][i], one_grads[b])
-            np.testing.assert_array_equal(grads[vals][i], one_grads[v])
+            np.testing.assert_allclose(out.data[i:i + 1], one.data,
+                                       rtol=1e-12)
+            np.testing.assert_allclose(grads[h_src][i:i + 1], one_grads[hs],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(grads[h_t][i:i + 1], one_grads[ht],
+                                       rtol=1e-12)
+            for t in summed:
+                summed[t] = summed[t] + one_grads[t]
+        for t, want in summed.items():
+            np.testing.assert_allclose(grads[t], want, rtol=1e-10)
 
     def test_scatter_add_batched_gradcheck(self):
-        rng = np.random.default_rng(15)
-        base = t64(rng.normal(size=(2, 3, 2)))
-        vals = t64(rng.normal(size=(2, 3, 4)))
-        ids = np.array([[0, 2, 2, 1], [3, 0, 3, 3]])
-        w = np.asarray(rng.normal(size=(2, 3, 4)))
-        err = gradcheck(
-            lambda b, v: ops.sum_all(ops.mul(
-                ops.scatter_add_cols(b, v, ids, 4), Tensor(w))), [base, vals])
-        assert err < 1e-6
+        # the second example's last source column is masked off
+        for gate in (True, False):
+            assert mixture_gradcheck_error(lead=(2,), gated=gate) < 1e-6
 
     def test_scatter_add_batched_ids_need_one_row_per_slice(self):
-        base, vals = Tensor(np.zeros((2, 1, 2))), Tensor(np.zeros((2, 1, 3)))
-        with pytest.raises(ShapeError, match="col_ids"):
-            ops.scatter_add_cols(base, vals, [0, 1, 2], 3)
+        args = mixture_inputs((2,), gated=False)[:-2]
+        with pytest.raises(ShapeError, match="ext_ids"):
+            ops.pointer_mixture(*args, np.zeros((2, 4)), [0, 1, 2, 3], 8)
 
     def test_nll_weighted_matches_per_row(self):
         rng = np.random.default_rng(16)
@@ -650,3 +687,19 @@ class TestElementwiseOps:
             lambda tb: ops.sum_all(ops.mul(ops.take_rows(tb, ids),
                                            Tensor(w))), table)
         assert err < 1e-6
+
+
+class TestOpsHaveCallers:
+    def test_every_public_op_is_called(self):
+        # a fused op must not leave the ops it replaced behind
+        root = Path(__file__).resolve().parent.parent
+        code = "\n".join(path.read_text(encoding="utf-8")
+                         for folder in ("src", "demos", "bench")
+                         for path in sorted((root / folder).rglob("*.py")))
+        public = [name for name, fn in vars(ops).items()
+                  if inspect.isfunction(fn) and fn.__module__ == ops.__name__
+                  and not name.startswith("_")]
+        assert "pointer_mixture" in public
+        uncalled = [name for name in public
+                    if not re.search(r"\bops\.%s\(" % name, code)]
+        assert uncalled == []

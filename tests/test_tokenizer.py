@@ -48,6 +48,11 @@ class TestBuildVocab:
         v = build_vocab(["a a b"], max_size=10, min_freq=2)
         assert "a" in v and "b" not in v
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_min_freq_must_be_positive(self, min_freq):
+        with pytest.raises(ValueError, match="min_freq must be at least 1"):
+            build_vocab(["a"], max_size=10, min_freq=min_freq)
+
     def test_max_size_must_exceed_specials(self):
         with pytest.raises(ValueError):
             build_vocab(["a"], max_size=5)

@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pointer_gpt.model import ModelConfig, init_params
+from pointer_gpt.model import ModelConfig, init_params, sequence_loss
+from pointer_gpt.tensor import Tape
 from pointer_gpt.tokenizer import build_vocab, encode_example
-from pointer_gpt.trainer import (TrainConfig, TrainingError, evaluate_loss,
-                                 train)
+from pointer_gpt.trainer import TrainConfig, TrainingError, train
 
 SRC = "patient reports chronic sob and cough with mild fever ."
 TGT = "chronic sob and cough ."
@@ -82,9 +82,9 @@ class TestTrain:
     def test_loss_decreases_from_init(self, corpus):
         _, example, cfg = corpus
         params = init_params(cfg)
-        init_loss = evaluate_loss(params, [example], cfg)
+        init_loss = float(sequence_loss(params, [example], cfg).data)
         train(params, [example], TrainConfig(epochs=50, batch_size=1), cfg)
-        assert evaluate_loss(params, [example], cfg) < init_loss
+        assert float(sequence_loss(params, [example], cfg).data) < init_loss
 
     def test_params_stay_finite(self, corpus):
         _, example, cfg = corpus
@@ -118,28 +118,33 @@ class TestTrain:
 
 
 class TestEvaluateLoss:
+    """A loss is evaluated by sequence_loss outside a Tape."""
+
     def test_single_example_equals_sequence_loss(self, corpus):
-        from pointer_gpt.model import sequence_loss
         _, example, cfg = corpus
         params = init_params(cfg)
-        direct = float(sequence_loss(params, [example], cfg).data)
-        assert evaluate_loss(params, [example], cfg) == pytest.approx(direct)
+        with Tape() as tape:
+            taped = sequence_loss(params, [example], cfg)
+        assert len(tape) > 0
+        untaped = sequence_loss(params, [example], cfg)
+        assert untaped.data.tobytes() == taped.data.tobytes()
 
     def test_order_invariant(self, corpus):
         vocab, example, cfg = corpus
         other = encode_example("mild fever today .", "fever .", vocab)
         params = init_params(cfg)
-        a = evaluate_loss(params, [example, other], cfg)
-        b = evaluate_loss(params, [other, example], cfg)
+        a = float(sequence_loss(params, [example, other], cfg).data)
+        b = float(sequence_loss(params, [other, example], cfg).data)
         assert a == pytest.approx(b, rel=1e-6)
 
     def test_mostly_decreasing_across_overfit_checkpoints(self, corpus):
         _, example, cfg = corpus
         params = init_params(cfg)
-        checkpoints = [evaluate_loss(params, [example], cfg)]
+        checkpoints = [float(sequence_loss(params, [example], cfg).data)]
         for _ in range(10):
             train(params, [example], TrainConfig(epochs=20), cfg)
-            checkpoints.append(evaluate_loss(params, [example], cfg))
+            checkpoints.append(float(sequence_loss(params, [example],
+                                                   cfg).data))
         increases = sum(1 for a, b in zip(checkpoints, checkpoints[1:])
                         if b > a)
         assert increases <= 1  # allow <=10% non-monotone steps
