@@ -65,7 +65,7 @@ def load_checkpoint(path):
     """Returns ({name: Tensor}, ModelConfig); never partially loads.
 
     The manifest must hold exactly the tensors `param_specs(config)` names,
-    with its shapes, and the payload must end where they do.
+    with its shapes as JSON integers, and the payload must end where they do.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -96,13 +96,16 @@ def load_checkpoint(path):
                               % (path, e)) from e
 
     payload = raw[header_end:]
+    if config.n_layers > len(entries):  # bounds param_specs; 16 per layer
+        raise CheckpointError("%s has %d manifest entries, too few for %d "
+                              "layers" % (path, len(entries), config.n_layers))
     specs = param_specs(config)
     tensors = {}
     for name, shape, start in entries:
         if not isinstance(name, str) or name not in specs or name in tensors:
             raise CheckpointError("%s has an unexpected tensor %r"
                                   % (path, name))
-        if shape != specs[name][0]:
+        if shape != specs[name][0] or any(type(n) is not int for n in shape):
             raise CheckpointError("%s: tensor %r has shape %s, expected %s"
                                   % (path, name, shape, specs[name][0]))
         if type(start) is not int or start < 0:

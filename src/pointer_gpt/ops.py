@@ -139,14 +139,14 @@ def softmax_rows(x):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row zero-mean/unit-variance normalization with affine."""
     xd = x.data
-    xc = xd - xd.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)  # np.var's own arithmetic
+    d = xd.shape[-1]  # both means: np.mean's arithmetic, not its wrapper
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def bwd(g):
-        d = xd.shape[-1]
         dxhat = g * gain.data
         dx = inv / d * (d * dxhat
                         - dxhat.sum(axis=-1, keepdims=True)

@@ -88,11 +88,16 @@ class Tape:
 
 def make_output(out_data, inputs, backward_fn):
     """Wrap an op result, recording it on the active tape when grads flow."""
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
-    tape = active_tape()
-    if tape is not None and requires:
-        tape.record(out, inputs, backward_fn)
+    out = Tensor.__new__(Tensor)  # no coercion: ops keep the operands' dtype
+    out.data = (out_data if type(out_data) is np.ndarray
+                else np.asarray(out_data))  # numpy's scalar for 0-d operands
+    out.requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            if _TAPE_STACK:
+                _TAPE_STACK[-1].record(out, inputs, backward_fn)
+            break
     return out
 
 

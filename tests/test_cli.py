@@ -1,11 +1,14 @@
 """Dataset I/O, checkpoint format, and command-line behavior."""
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from pointer_gpt import checkpoint
 from pointer_gpt.checkpoint import (MAGIC, VERSION, CheckpointError,
                                     load_checkpoint, save_checkpoint)
 from pointer_gpt.cli import main, run_compare
@@ -98,6 +101,18 @@ def tiny_model():
     return init_params(cfg), cfg
 
 
+# one replacement per example: ints (10**9 among them), floats, booleans,
+# strings, null, lists and objects
+POOL = [0, 1, 8, -4, 10 ** 9, 0.5, 1.0, 8.0, float("nan"), True, False, "",
+        "tok_emb", None, [], [8, 8], {}, {"name": "tok_emb"}]
+EDITS = st.one_of(
+    st.tuples(st.just("config"), st.sampled_from(
+        [f.name for f in dataclasses.fields(ModelConfig)])),
+    st.tuples(st.sampled_from(["name", "shape", "offset"]),
+              st.integers(0, 24)),  # the 25 entries of a 1-layer model
+    st.tuples(st.just("element"), st.integers(0, 24), st.integers(0, 1)))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         params, cfg = tiny_model()
@@ -182,14 +197,38 @@ class TestCheckpoint:
         (lambda m: m[0].__setitem__("offset", -4),
          "'tok_emb' has offset -4, expected a non-negative integer"),
         (lambda m: m[0].__setitem__("offset", 0.5), "'tok_emb' has offset 0.5"),
+        # equal to the spec shape in value, but not integers
+        (lambda m: m[0].__setitem__("shape",
+                                    [float(n) for n in m[0]["shape"]]),
+         r"'tok_emb' has shape \(12\.0, 16\.0\)"),
+        (lambda m: m[-3]["shape"].__setitem__(1, True),
+         r"'gate\.w_h' has shape \(16, True\)"),
     ], ids=["missing", "extra", "duplicate", "misshaped", "no-offset",
-            "no-name", "not-a-dict", "negative-offset", "float-offset"])
+            "no-name", "not-a-dict", "negative-offset", "float-offset",
+            "float-shape", "bool-shape"])
     def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, cfg, path)
         self._rewrite(path, edit)
         with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_layer_count_is_bounded_by_the_manifest(self, tmp_path,
+                                                    monkeypatch):
+        # param_specs loops over n_layers: a header must not make it run
+        def unbounded(config):
+            raise AssertionError("param_specs ran for %d layers"
+                                 % config.n_layers)
+
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, config={"n_layers": 10 ** 9})
+        monkeypatch.setattr(checkpoint, "param_specs", unbounded)
+        with pytest.raises(CheckpointError,
+                           match="25 manifest entries, too few for "
+                                 "1000000000 layers"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -235,6 +274,36 @@ class TestCheckpoint:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=EDITS, value=st.sampled_from(POOL))
+    # each of these crashed or ran away before the manifest rules
+    @example(edit=("element", 0, 1), value=8.0)  # tok_emb
+    @example(edit=("element", 22, 1), value=True)  # gate.w_h
+    @example(edit=("config", "n_layers"), value=10 ** 9)
+    def test_any_header_edit_works_or_fails_in_one_line(self, tmp_path,
+                                                        capsys, edit, value):
+        cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
+                          d_ff=16, max_seq_len=16, seed=0)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_params(cfg), cfg, path)
+
+        def edit_manifest(m):
+            if edit[0] == "element":
+                shape = m[edit[1]]["shape"]
+                shape[edit[2] % len(shape)] = value
+            else:
+                m[edit[1]][edit[0]] = value
+
+        if edit[0] == "config":
+            self._rewrite(path, config={edit[1]: value})
+        else:
+            self._rewrite(path, edit_manifest)
+        code, err = self._summarize(path, tmp_path, capsys)
+        assert code == 0 or (code == 1 and len(err.splitlines()) == 1
+                             and err.startswith("error:")), err
 
     def test_no_partial_file_on_success(self, tmp_path):
         params, cfg = tiny_model()

@@ -297,8 +297,10 @@ class TestLayerNorm:
         # the op reuses its centred values for the variance; np.var does
         # the same arithmetic, so the output bytes must not move
         rng = np.random.default_rng(5)
+        # widths 5, 48 and 100 are not powers of two, so dividing by the
+        # width rounds: a mean taken as sum * (1 / d) would differ there
         for shape in [(1, 1, 64), (4, 1, 64), (8, 49, 64), (57, 64),
-                      (3, 5, 8)]:
+                      (3, 5, 8), (3, 5), (2, 7, 48), (4, 100)]:
             for _ in range(20):
                 xd, gain, bias = (rng.normal(size=s).astype(dtype)
                                   for s in (shape, shape[-1:], shape[-1:]))
@@ -689,6 +691,12 @@ class TestElementwiseOps:
         assert err < 1e-6
 
 
+def public_ops():
+    return [name for name, fn in vars(ops).items()
+            if inspect.isfunction(fn) and fn.__module__ == ops.__name__
+            and not name.startswith("_")]
+
+
 class TestOpsHaveCallers:
     def test_every_public_op_is_called(self):
         # a fused op must not leave the ops it replaced behind
@@ -696,10 +704,77 @@ class TestOpsHaveCallers:
         code = "\n".join(path.read_text(encoding="utf-8")
                          for folder in ("src", "demos", "bench")
                          for path in sorted((root / folder).rglob("*.py")))
-        public = [name for name, fn in vars(ops).items()
-                  if inspect.isfunction(fn) and fn.__module__ == ops.__name__
-                  and not name.startswith("_")]
+        public = public_ops()
         assert "pointer_mixture" in public
         uncalled = [name for name in public
                     if not re.search(r"\bops\.%s\(" % name, code)]
         assert uncalled == []
+
+
+def op_calls(dtype):
+    """(op name, call, Tensor operands) covering every public op; add, mul
+    and gelu also run on 0-d operands, where numpy returns a scalar."""
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape), dtype=dtype)
+
+    mask = _causal_mask(3, dtype)
+    return [
+        ("add", ops.add, (t(2, 4), t(4))),
+        ("add", ops.add, (t(), t())),
+        ("mul", ops.mul, (t(2, 4), t(2, 1))),
+        ("mul", ops.mul, (t(), t())),
+        ("matmul", ops.matmul, (t(2, 3, 4), t(4, 5))),
+        ("linear", ops.linear, (t(2, 3, 4), t(4, 5), t(5))),
+        ("transpose", ops.transpose, (t(2, 3, 4),)),
+        ("gelu", ops.gelu, (t(2, 4),)),
+        ("gelu", ops.gelu, (t(),)),
+        ("softmax_rows", ops.softmax_rows, (t(2, 4),)),
+        ("layer_norm", ops.layer_norm, (t(2, 3, 4), t(4), t(4))),
+        ("take_rows", lambda x: ops.take_rows(x, [[0, 2], [1, 1]]),
+         (t(3, 4),)),
+        ("causal_attention",
+         lambda q, k, v: ops.causal_attention(q, k, v, mask, 2),
+         (t(2, 3, 4), t(2, 3, 4), t(2, 3, 4))),
+        ("pointer_mixture",
+         lambda hs, ht, wp, wv, wh, b, wc: ops.pointer_mixture(
+             hs, ht, wp, wv, (wh, b, wc), np.zeros((2, 3)),
+             [[0, 5, 5], [1, 2, 3]], 6)[0],
+         (t(2, 3, 4), t(2, 1, 4), t(4, 4), t(4, 5), t(4, 1), t(1, 1),
+          t(4, 1))),
+        ("nll", lambda p: ops.nll(p, [1, 3], [1.0, 0.5]),
+         (Tensor(np.full((2, 4), 0.25), dtype=dtype),)),
+        ("sum_all", ops.sum_all, (t(2, 4),)),
+        ("mean_all", ops.mean_all, (t(2, 4),)),
+        ("dropout", lambda x: ops.dropout(x, 0.5, np.random.default_rng(1)),
+         (t(2, 4),)),
+    ]
+
+
+class TestOpOutputContract:
+    """Op outputs skip Tensor's coercion, so pin what it guaranteed."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.longdouble])
+    def test_dtype_requires_grad_and_tape_record(self, dtype):
+        calls = op_calls(dtype)
+        assert sorted({name for name, _, _ in calls}) == sorted(public_ops())
+        for name, call, inputs in calls:
+            # no input requiring grad, then each input alone
+            for grad_at in [None] + list(range(len(inputs))):
+                for i, x in enumerate(inputs):
+                    x.requires_grad = i == grad_at
+                requires = grad_at is not None
+                with Tape() as tape:
+                    out = call(*inputs)
+                where = (name, [x.shape for x in inputs], grad_at)
+                assert type(out.data) is np.ndarray, where
+                assert out.data.dtype == dtype, where
+                assert out.requires_grad is requires, where
+                assert len(tape) == int(requires), where
+                if requires:
+                    assert tape._records[0][0] is out, where
+                # outside a tape the result is the same kind of tensor
+                bare = call(*inputs)
+                assert type(bare.data) is np.ndarray, where
+                assert bare.requires_grad is requires, where
