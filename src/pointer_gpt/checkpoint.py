@@ -65,7 +65,8 @@ def load_checkpoint(path):
     """Returns ({name: Tensor}, ModelConfig); never partially loads.
 
     The manifest must hold exactly the tensors `param_specs(config)` names,
-    with its shapes as JSON integers, and the payload must end where they do.
+    with its shapes as JSON integers and each offset the byte total of the
+    entries before it, and the payload must end where they do.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -101,6 +102,7 @@ def load_checkpoint(path):
                               "layers" % (path, len(entries), config.n_layers))
     specs = param_specs(config)
     tensors = {}
+    end = 0  # tensors lie back to back in manifest order
     for name, shape, start in entries:
         if not isinstance(name, str) or name not in specs or name in tensors:
             raise CheckpointError("%s has an unexpected tensor %r"
@@ -108,9 +110,9 @@ def load_checkpoint(path):
         if shape != specs[name][0] or any(type(n) is not int for n in shape):
             raise CheckpointError("%s: tensor %r has shape %s, expected %s"
                                   % (path, name, shape, specs[name][0]))
-        if type(start) is not int or start < 0:
-            raise CheckpointError("%s: tensor %r has offset %r, expected a "
-                                  "non-negative integer" % (path, name, start))
+        if type(start) is not int or start != end:
+            raise CheckpointError("%s: tensor %r has offset %r, expected %d"
+                                  % (path, name, start, end))
         end = start + 4 * math.prod(shape)
         if end > len(payload):
             raise CheckpointError("%s is truncated (tensor %r)"
@@ -120,8 +122,7 @@ def load_checkpoint(path):
     missing = [name for name in specs if name not in tensors]
     if missing:
         raise CheckpointError("%s lacks tensor %r" % (path, missing[0]))
-    size = 4 * sum(math.prod(shape) for shape, _ in specs.values())
-    if len(payload) > size:
+    if len(payload) > end:
         raise CheckpointError("%s has %d bytes after the payload"
-                              % (path, len(payload) - size))
+                              % (path, len(payload) - end))
     return tensors, config

@@ -266,6 +266,9 @@ def main(argv=None):
     except (CliError, DatasetError, TrainingError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except MemoryError as e:  # the config file bounds no model dimension
+        print("error: out of memory: %s" % e, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from .model import feed_ids, forward_hidden, pointer_head, positions_needed
 from .ops import LOG_FLOOR
-from .tensor import Tensor
+from .tensor import ContractError, Tensor
 from .tokenizer import EOS, SEP
 
 
@@ -40,51 +40,43 @@ class Hypothesis:
     finished: bool
 
 
-def _stacked(caches):
-    """Per-layer (K, V) of several prefixes, stacked on a new batch axis."""
-    return [tuple(np.array(kv) for kv in zip(*layers))
-            for layers in zip(*caches)]
-
-
 def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     """step_fn(prefixes) -> [len(prefixes), V_ext]: the next-token
     distribution over the extended vocab after each emitted-id prefix.
 
-    Source + SEP run once to fill a K/V cache and fix h_src (causality). A
-    prefix extends the (cache, h_t) state of its longest cached ancestor;
-    prefixes with equal ancestor and own lengths run as one forward over
-    their parents' stacked caches [g, T, d_model]. States over one id
-    shorter than the longest prefix computed are dropped, except the root,
-    so any call order works."""
+    Source + SEP run once to fill a root K/V cache and fix h_src
+    (causality). Calls go in lockstep, as in batched beam search: the live
+    prefixes share one (K, V) array per layer, [k, T, d_model], one row
+    each. A call whose prefixes each extend one of the previous call's by
+    one id gathers its parents' rows and runs the k new ids as one
+    forward; a call that repeats the previous prefixes reuses their rows;
+    [()] restarts at the root. Any other call raises ContractError."""
     v = config.vocab_size
     root = []
     hidden = forward_hidden(params, list(source_ids) + [SEP], config,
                             cache=root).data
     h_src = Tensor(hidden[None, :-1])
-    states = {(): (root, hidden[-1])}
+    start = ([()], [(k[None], vv[None]) for k, vv in root], hidden[-1:])
+    state = start  # (live prefixes, per-layer (K, V), their last hiddens)
 
     def step_fn(prefixes):
+        nonlocal state
         keys = [tuple(p) for p in prefixes]
-        groups = {}  # (ancestor length, own length) -> prefixes
-        for key in keys:
-            n = len(key)
-            while key[:n] not in states:
-                n -= 1
-            if n < len(key):
-                groups.setdefault((n, len(key)), []).append(key)
-        for (n, _), members in groups.items():
-            cache = _stacked([states[key[:n]][0] for key in members])
-            feed = [feed_ids(key[n:], v) for key in members]
+        live, cache, _ = state
+        if keys == [()]:
+            state = start
+        elif keys != live:
+            rows = {key: j for j, key in enumerate(live)}
+            if not all(key and key[:-1] in rows for key in keys):
+                raise ContractError("step_fn prefixes must each extend one "
+                                    "of the previous call's by one id")
+            parents = [rows[key[:-1]] for key in keys]
+            cache = [(k[parents], vv[parents]) for k, vv in cache]
+            feed = [feed_ids(key[-1:], v) for key in keys]
             hidden = forward_hidden(params, feed, config, cache=cache).data
-            for j, key in enumerate(members):
-                states[key] = ([(k[j], vv[j]) for k, vv in cache],
-                               hidden[j, -1])
-        h_t = Tensor(np.stack([states[key][1] for key in keys])[None])
-        longest = max((m for _, m in groups), default=0)
-        for old in [p for p in states if 0 < len(p) < longest - 1]:
-            del states[old]
-        _, _, mixed = pointer_head(params, h_src, h_t, [source_ext_ids],
-                                   oov_count, config)
+            state = (keys, cache, hidden[:, -1])
+        _, _, mixed = pointer_head(params, h_src, Tensor(state[2][None]),
+                                   [source_ext_ids], oov_count, config)
         return mixed.data[0]
 
     return step_fn

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from pointer_gpt import checkpoint
+from pointer_gpt import checkpoint, cli
 from pointer_gpt.checkpoint import (MAGIC, VERSION, CheckpointError,
                                     load_checkpoint, save_checkpoint)
-from pointer_gpt.cli import main, run_compare
+from pointer_gpt.cli import CONFIG_SECTIONS, main, run_compare
 from pointer_gpt.data import (DatasetError, DatasetRecord, load_dataset,
                               save_dataset, split_by_index,
                               synthetic_copy_task)
@@ -112,6 +112,30 @@ EDITS = st.one_of(
               st.integers(0, 24)),  # the 25 entries of a 1-layer model
     st.tuples(st.just("element"), st.integers(0, 24), st.integers(0, 1)))
 
+# `train` inputs for the property test: a tiny model, edited by up to two
+# config entries, on a good record and up to two more dataset lines
+TINY_TRAIN = {"model": {"d_model": 8, "n_heads": 2, "n_layers": 1,
+                        "d_ff": 8, "max_seq_len": 16},
+              "train": {"epochs": 1}}
+# wrong types, NaN and inf, out-of-range numbers; no dimension above 64
+TRAIN_CONFIG_VALUES = [-1, 0, 1, 3, 64, -0.5, 0.5, 1.0, 1.5, 1e308,
+                       float("nan"), float("inf"), float("-inf"), True, "",
+                       "8", None, [], {}]
+TRAIN_CONFIG_EDITS = st.lists(st.tuples(
+    st.sampled_from([(name, key)  # key None replaces the whole section
+                     for name, (defaults, _) in CONFIG_SECTIONS.items()
+                     for key in [*defaults, "bogus", None]]
+                    + [("bogus", "d_model")]),
+    st.sampled_from(TRAIN_CONFIG_VALUES)), max_size=2)
+GOOD_LINE = b'{"source": "a b c d", "summary": "b c"}'
+DATA_LINES = st.one_of(  # half of the extra lines are good records
+    st.sampled_from([GOOD_LINE, b'{"source": "c d e", "summary": "e"}']),
+    st.sampled_from([
+        b"", b"[1, 2]", b"3", b'"a b"', b"null", b"{",  # not an object
+        b'{"source": 3, "summary": "a"}', b'{"source": "a"}',  # wrong fields
+        b'{"source": "a", "summary": ["a"]}',
+        b'{"source": "", "summary": "a"}', b'{"source": "a", "summary": " "}',
+        b'{"source": "\xc3(", "summary": "a"}', b"\xff\xfe"]))  # bad UTF-8
 
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
@@ -195,7 +219,13 @@ class TestCheckpoint:
         (lambda m: m[1].pop("name"), "malformed manifest entry"),
         (lambda m: m.__setitem__(0, "tok_emb"), "malformed manifest entry"),
         (lambda m: m[0].__setitem__("offset", -4),
-         "'tok_emb' has offset -4, expected a non-negative integer"),
+         "'tok_emb' has offset -4, expected 0"),
+        # pos_emb would start inside tok_emb
+        (lambda m: m[1].__setitem__("offset", 4),
+         "'pos_emb' has offset 4, expected 768"),
+        # four unread bytes before the last tensor
+        (lambda m: m[-1].__setitem__("offset", m[-1]["offset"] + 4),
+         r"'gate\.b' has offset \d+, expected \d+"),
         (lambda m: m[0].__setitem__("offset", 0.5), "'tok_emb' has offset 0.5"),
         # equal to the spec shape in value, but not integers
         (lambda m: m[0].__setitem__("shape",
@@ -204,8 +234,8 @@ class TestCheckpoint:
         (lambda m: m[-3]["shape"].__setitem__(1, True),
          r"'gate\.w_h' has shape \(16, True\)"),
     ], ids=["missing", "extra", "duplicate", "misshaped", "no-offset",
-            "no-name", "not-a-dict", "negative-offset", "float-offset",
-            "float-shape", "bool-shape"])
+            "no-name", "not-a-dict", "negative-offset", "overlap", "gap",
+            "float-offset", "float-shape", "bool-shape"])
     def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
@@ -462,6 +492,48 @@ class TestCliTrain:
         else:
             assert err == ("error: record 0 needs 17 positions but "
                            "max_seq_len is 16\n")
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, data_path,
+                                             capsys, monkeypatch):
+        # a (1e9, 64) float64 pos_emb is 512 GB: fake the failed allocation
+        def unallocatable(config, dtype=np.float32):
+            raise MemoryError("Unable to allocate 477. GiB")
+
+        monkeypatch.setattr(cli, "init_params", unallocatable)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {"max_seq_len": 10 ** 9}}))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 477. GiB\n")
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=TRAIN_CONFIG_EDITS, lines=st.lists(DATA_LINES, max_size=2))
+    @example(edits=[(("train", "lr"), float("nan"))], lines=[])
+    @example(edits=[], lines=[b'{"source": "\xff", "summary": "a"}'])
+    @example(edits=[(("model", "d_model"), 64), (("model", "d_ff"), 64),
+                    (("model", "max_seq_len"), 64)], lines=[])
+    def test_any_train_input_works_or_fails_in_one_line(
+            self, tmp_path, capsys, edits, lines):
+        cfg = {name: dict(section) for name, section in TINY_TRAIN.items()}
+        for (section, key), value in edits:
+            if key is None:
+                cfg[section] = value
+            elif isinstance(cfg.setdefault(section, {}), dict):
+                cfg[section][key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(b"\n".join([GOOD_LINE] + lines))
+        code = main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert (code == 0 and err == "") or (
+            code == 1 and len(err.splitlines()) == 1
+            and err.startswith("error:")), (code, err)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from pointer_gpt.decoder import (
 from pointer_gpt import decoder, model
 from pointer_gpt.model import (NEG_INF, ModelConfig, forward_hidden,
                                init_params, pointer_step)
+from pointer_gpt.tensor import ContractError
 from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab, decode
 
 
@@ -185,21 +186,33 @@ def cached_mismatches(seeds):
     return bad
 
 
+def walked_step_fn(params, src, ext, oov_count, cfg):
+    """Reference: a fresh step_fn per prefix, fed one id per call from
+    [()], so that every call holds a single prefix."""
+    def step_fn(prefix):
+        fresh = make_step_fn(params, src, ext, oov_count, cfg)
+        for n in range(len(prefix) + 1):
+            dist = fresh([prefix[:n]])
+        return dist[0]
+
+    return step_fn
+
+
 def batch_mismatches(seeds):
     """(seed, oov_count) cases where one step_fn call over the k prefixes
-    beam-4 asks for departs by more than 1e-6 from k single-prefix calls
-    on a second step_fn, or where the beam-4 ids differ."""
+    beam-4 asks for departs by more than 1e-6 from one single-prefix walk
+    per prefix, or where the beam-4 ids differ."""
     bad = []
     for seed in seeds:
         params, src, oov_ext, cfg = criterion_9_model(seed)
         for ext, oov_count in ((src, 0), (oov_ext, 1)):
             step_fn = make_step_fn(params, src, ext, oov_count, cfg)
-            single = make_step_fn(params, src, ext, oov_count, cfg)
+            single = walked_step_fn(params, src, ext, oov_count, cfg)
             worst = 0.0
 
             def both(prefixes):
                 nonlocal worst
-                rows = np.concatenate([single([p]) for p in prefixes])
+                rows = np.stack([single(p) for p in prefixes])
                 dists = step_fn(prefixes)
                 worst = max(worst, np.abs(dists - rows).max())
                 return rows
@@ -230,9 +243,13 @@ class TestIncrementalDecoding:
 
     def test_wrong_parent_cache_is_caught(self, monkeypatch):
         # mutation control: each hypothesis extends its neighbour's cache
-        stacked = decoder._stacked
-        monkeypatch.setattr(decoder, "_stacked",
-                            lambda caches: stacked(caches[1:] + caches[:1]))
+        def rolled(params, ids, config, cache=None, **kwargs):
+            if cache:
+                cache[:] = [tuple(np.roll(a, 1, axis=0) for a in kv)
+                            for kv in cache]
+            return forward_hidden(params, ids, config, cache=cache, **kwargs)
+
+        monkeypatch.setattr(decoder, "forward_hidden", rolled)
         assert len(batch_mismatches(range(20))) == 40
 
     def test_beam_runs_one_forward_per_step(self, monkeypatch):
@@ -258,7 +275,18 @@ class TestIncrementalDecoding:
             assert [shape[0] for shape in calls[1:]] == steps[1:]
             calls.clear()
 
-    def test_out_of_order_queries_match_a_fresh_step_fn(self):
+    def test_calls_that_neither_extend_nor_repeat_raise(self):
+        params, src, ext, cfg = criterion_9_model(0)
+        step_fn = make_step_fn(params, src, ext, 1, cfg)
+        step_fn([()])
+        first = step_fn([(7,), (8,)])
+        np.testing.assert_array_equal(step_fn([(7,), (8,)]), first)
+        for prefixes in ([(7, 9), (9, 9)], [(7,), (8,), (7, 9)], [(7, 9, 9)],
+                         [()] * 2, [(), (7,)]):
+            with pytest.raises(ContractError, match="extend"):
+                step_fn(prefixes)
+
+    def test_root_call_after_a_search_matches_a_fresh_step_fn(self):
         for seed in range(8):
             params, src, ext, cfg = criterion_9_model(seed)
 
@@ -270,16 +298,7 @@ class TestIncrementalDecoding:
             beam = beam_search(step_fn, 6, beam_width=4)
             assert greedy.ids == greedy_search(fresh(), 6).ids
             assert beam.ids == beam_search(fresh(), 6, beam_width=4).ids
-            prefixes = [greedy.ids[:1], (), beam.ids[:3], greedy.ids,
-                        beam.ids[:3]]
-            for prefix in prefixes:
-                np.testing.assert_allclose(step_fn([prefix]),
-                                           fresh()([prefix]),
-                                           rtol=0, atol=1e-6)
-            np.testing.assert_allclose(
-                step_fn(prefixes),
-                np.concatenate([fresh()([p]) for p in prefixes]),
-                rtol=0, atol=1e-6)
+            np.testing.assert_array_equal(step_fn([()]), fresh()([()]))
 
 
 class TestForcedCopy:
@@ -319,7 +338,8 @@ class TestLengthLimit:
         assert decoder.max_steps_within(cfg, 10, 4) == 4
         src = [6] * 9 + [EOS]
         step_fn = make_step_fn(init_params(cfg), src, src, 0, cfg)
-        assert step_fn([[7] * 5]).shape == (1, cfg.vocab_size)
+        for n in range(6):
+            assert step_fn([[7] * n]).shape == (1, cfg.vocab_size)
         with pytest.raises(ValueError, match="sequence length 17 exceeds"):
             step_fn([[7] * 6])
 
