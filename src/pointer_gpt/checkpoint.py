@@ -29,18 +29,20 @@ class CheckpointError(ValueError):
     pass
 
 
+def build_manifest(shapes):
+    """(manifest, payload bytes) for ordered (name, shape) pairs: each
+    offset is the byte total of the entries before it."""
+    manifest, total = [], 0
+    for name, shape in shapes:
+        manifest.append({"name": name, "shape": list(shape), "offset": total})
+        total += 4 * math.prod(shape)
+    return manifest, total
+
+
 def save_checkpoint(params, config, path):
     """Atomic write: temp file in the target directory, then rename."""
-    manifest = []
-    offset = 0
-    blobs = []
-    for name, tensor in params.items():
-        blob = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
-        manifest.append({"name": name,
-                         "shape": list(tensor.data.shape),
-                         "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+    manifest, _ = build_manifest((name, tensor.data.shape)
+                                 for name, tensor in params.items())
     header = json.dumps({"config": asdict(config),
                          "manifest": manifest}).encode("utf-8")
 
@@ -52,8 +54,8 @@ def save_checkpoint(params, config, path):
             f.write(struct.pack("<I", VERSION))
             f.write(struct.pack("<I", len(header)))
             f.write(header)
-            for blob in blobs:
-                f.write(blob)
+            for tensor in params.values():
+                f.write(np.ascontiguousarray(tensor.data, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,12 +63,23 @@ def save_checkpoint(params, config, path):
         raise
 
 
+def _manifest_error(path, manifest, expected):
+    """CheckpointError naming the first entry whose JSON text differs."""
+    for i in range(max(len(manifest), len(expected))):
+        stored, want = (json.dumps(m[i], sort_keys=True) if i < len(m)
+                        else "nothing" for m in (manifest, expected))
+        if stored != want:
+            break
+    return CheckpointError("%s: manifest entry %d: stored %s, expected %s"
+                           % (path, i, stored, want))
+
+
 def load_checkpoint(path):
     """Returns ({name: Tensor}, ModelConfig); never partially loads.
 
-    The manifest must hold exactly the tensors `param_specs(config)` names,
-    with its shapes as JSON integers and each offset the byte total of the
-    entries before it, and the payload must end where they do.
+    The manifest must be the one `save_checkpoint` writes for the header's
+    config (`param_specs` order, integer shapes and offsets), and the
+    payload must hold exactly its bytes.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -86,43 +99,28 @@ def load_checkpoint(path):
         header = json.loads(raw[12:header_end].decode("utf-8"))
         config = ModelConfig(**header["config"])
         manifest = header["manifest"]
+        if not isinstance(manifest, list):
+            raise TypeError("manifest is not a list")
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError("corrupt checkpoint header: %s" % e) from e
 
-    try:
-        entries = [(e["name"], tuple(e["shape"]), e["offset"])
-                   for e in manifest]
-    except (KeyError, TypeError) as e:
-        raise CheckpointError("%s has a malformed manifest entry: %r"
-                              % (path, e)) from e
-
-    payload = raw[header_end:]
-    if config.n_layers > len(entries):  # bounds param_specs; 16 per layer
-        raise CheckpointError("%s has %d manifest entries, too few for %d "
-                              "layers" % (path, len(entries), config.n_layers))
-    specs = param_specs(config)
+    if config.n_layers > len(manifest):  # bounds param_specs; 16 per layer
+        raise CheckpointError(
+            "%s has %d manifest entries, too few for %d layers"
+            % (path, len(manifest), config.n_layers))
+    expected, total = build_manifest((name, shape) for name, (shape, _)
+                                     in param_specs(config).items())
+    # == takes 8.0 and true for 8; the JSON types must be integers too
+    if manifest != expected or any(type(n) is not int for e in manifest
+                                   for n in [e["offset"], *e["shape"]]):
+        raise _manifest_error(path, manifest, expected)
+    if len(raw) - header_end != total:
+        raise CheckpointError("%s: payload has %d bytes, expected %d"
+                              % (path, len(raw) - header_end, total))
     tensors = {}
-    end = 0  # tensors lie back to back in manifest order
-    for name, shape, start in entries:
-        if not isinstance(name, str) or name not in specs or name in tensors:
-            raise CheckpointError("%s has an unexpected tensor %r"
-                                  % (path, name))
-        if shape != specs[name][0] or any(type(n) is not int for n in shape):
-            raise CheckpointError("%s: tensor %r has shape %s, expected %s"
-                                  % (path, name, shape, specs[name][0]))
-        if type(start) is not int or start != end:
-            raise CheckpointError("%s: tensor %r has offset %r, expected %d"
-                                  % (path, name, start, end))
-        end = start + 4 * math.prod(shape)
-        if end > len(payload):
-            raise CheckpointError("%s is truncated (tensor %r)"
-                                  % (path, name))
-        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[name] = Tensor(arr.astype(np.float32), requires_grad=True)
-    missing = [name for name in specs if name not in tensors]
-    if missing:
-        raise CheckpointError("%s lacks tensor %r" % (path, missing[0]))
-    if len(payload) > end:
-        raise CheckpointError("%s has %d bytes after the payload"
-                              % (path, len(payload) - end))
+    for e in manifest:
+        arr = np.frombuffer(raw, "<f4", math.prod(e["shape"]),
+                            header_end + e["offset"])
+        tensors[e["name"]] = Tensor(arr.reshape(e["shape"]).astype(np.float32),
+                                    requires_grad=True)
     return tensors, config

@@ -28,7 +28,8 @@ CONFIG_SECTIONS = {
     "train": ({f.name: f.default for f in dataclasses.fields(TrainConfig)},
               ("seed",)),
     "vocab": ({"max_size": 4000, "min_freq": 1}, ()),
-    "decode": ({"beam_width": 1, "max_summary_len": 32}, ()),
+    "decode": ({f.name: f.default for f in dataclasses.fields(DecodeConfig)},
+               ()),
 }
 
 
@@ -234,16 +235,16 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True, help="text file or - for stdin")
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
+    p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("evaluate", help="ROUGE report over a dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--beam", type=int, default=1)
-    p.add_argument("--max-len", type=int, default=32)
+    p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
+    p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
     p.add_argument("--self-test", action="store_true",
                    help="score references against themselves (all 1.0)")
     p.set_defaults(func=cmd_evaluate)

@@ -241,9 +241,6 @@ def sequence_loss(params, examples, config, rng=None):
     if tgt.min() < 1:
         raise ContractError("example has an empty target")
     need = int(positions_needed(src, tgt).max())
-    if need > config.max_seq_len:
-        raise ValueError("encoded example length %d exceeds max_seq_len %d"
-                         % (need, config.max_seq_len))
     s, n = int(src.max()), int(tgt.max())
     ids = np.full((b, need), PAD)
     targets = np.full((b, n), PAD)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -170,7 +171,8 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(CheckpointError, match="magic"):
+        # the message, not the path: pytest names the directory after the test
+        with pytest.raises(CheckpointError, match="is not a checkpoint"):
             load_checkpoint(str(path))
 
     def test_truncated_payload(self, tmp_path):
@@ -179,7 +181,9 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-10])
-        with pytest.raises(CheckpointError, match="truncated"):
+        total = sum(4 * p.data.size for p in params.values())
+        with pytest.raises(CheckpointError, match="payload has %d bytes, "
+                           "expected %d" % (total - 10, total)):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -206,43 +210,88 @@ class TestCheckpoint:
         open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw
                                + blob[12 + header_len:] + payload_suffix)
 
+    # tiny_model's manifest entries as `load_checkpoint` prints them
+    TOK_EMB = '{"name": "tok_emb", "offset": 0, "shape": [12, 16]}'
+    POS_EMB = '{"name": "pos_emb", "offset": 768, "shape": [16, 16]}'
+    GATE_B = '{"name": "gate.b", "offset": 12736, "shape": [1, 1]}'
+
     @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.pop(), "lacks tensor 'gate.b'"),
+        (lambda m: m.pop(), "entry 24: stored nothing, expected " + GATE_B),
         (lambda m: m.append({"name": "extra", "shape": [1], "offset": 0}),
-         "unexpected tensor 'extra'"),
+         'entry 25: stored {"name": "extra", "offset": 0, "shape": [1]}, '
+         "expected nothing"),
         (lambda m: m.__setitem__(-1, dict(m[-2])),
-         "unexpected tensor 'gate.w_c'"),
-        # same element count, so only the shape check can catch it
+         'entry 24: stored {"name": "gate.w_c", "offset": 12672, '
+         '"shape": [16, 1]}, expected ' + GATE_B),
+        # same element count, so the payload length alone cannot catch it
         (lambda m: m[0].__setitem__("shape", m[0]["shape"][::-1]),
-         "'tok_emb' has shape"),
-        (lambda m: m[0].pop("offset"), "malformed manifest entry"),
-        (lambda m: m[1].pop("name"), "malformed manifest entry"),
-        (lambda m: m.__setitem__(0, "tok_emb"), "malformed manifest entry"),
+         'entry 0: stored {"name": "tok_emb", "offset": 0, '
+         '"shape": [16, 12]}, expected ' + TOK_EMB),
+        (lambda m: m[0].pop("offset"),
+         'entry 0: stored {"name": "tok_emb", "shape": [12, 16]}, '
+         "expected " + TOK_EMB),
+        (lambda m: m[1].pop("name"),
+         'entry 1: stored {"offset": 768, "shape": [16, 16]}, '
+         "expected " + POS_EMB),
+        (lambda m: m.insert(0, m.pop(1)),
+         "entry 0: stored " + POS_EMB + ", expected " + TOK_EMB),
+        (lambda m: m.__setitem__(0, "tok_emb"),
+         'entry 0: stored "tok_emb", expected ' + TOK_EMB),
         (lambda m: m[0].__setitem__("offset", -4),
-         "'tok_emb' has offset -4, expected 0"),
+         'entry 0: stored {"name": "tok_emb", "offset": -4, '
+         '"shape": [12, 16]}, expected ' + TOK_EMB),
         # pos_emb would start inside tok_emb
         (lambda m: m[1].__setitem__("offset", 4),
-         "'pos_emb' has offset 4, expected 768"),
+         'entry 1: stored {"name": "pos_emb", "offset": 4, '
+         '"shape": [16, 16]}, expected ' + POS_EMB),
         # four unread bytes before the last tensor
         (lambda m: m[-1].__setitem__("offset", m[-1]["offset"] + 4),
-         r"'gate\.b' has offset \d+, expected \d+"),
-        (lambda m: m[0].__setitem__("offset", 0.5), "'tok_emb' has offset 0.5"),
+         'entry 24: stored {"name": "gate.b", "offset": 12740, '
+         '"shape": [1, 1]}, expected ' + GATE_B),
+        (lambda m: m[0].__setitem__("offset", 0.5),
+         'entry 0: stored {"name": "tok_emb", "offset": 0.5, '
+         '"shape": [12, 16]}, expected ' + TOK_EMB),
         # equal to the spec shape in value, but not integers
         (lambda m: m[0].__setitem__("shape",
                                     [float(n) for n in m[0]["shape"]]),
-         r"'tok_emb' has shape \(12\.0, 16\.0\)"),
+         'entry 0: stored {"name": "tok_emb", "offset": 0, '
+         '"shape": [12.0, 16.0]}, expected ' + TOK_EMB),
         (lambda m: m[-3]["shape"].__setitem__(1, True),
-         r"'gate\.w_h' has shape \(16, True\)"),
+         'entry 22: stored {"name": "gate.w_h", "offset": 12608, '
+         '"shape": [16, true]}, expected {"name": "gate.w_h", '
+         '"offset": 12608, "shape": [16, 1]}'),
     ], ids=["missing", "extra", "duplicate", "misshaped", "no-offset",
-            "no-name", "not-a-dict", "negative-offset", "overlap", "gap",
-            "float-offset", "float-shape", "bool-shape"])
+            "no-name", "swapped", "not-a-dict", "negative-offset", "overlap",
+            "gap", "float-offset", "float-shape", "bool-shape"])
     def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, cfg, path)
         self._rewrite(path, edit)
-        with pytest.raises(CheckpointError, match=message):
+        with pytest.raises(CheckpointError, match=re.escape(message)):
             load_checkpoint(path)
+
+    def test_manifest_keys_may_come_in_any_order(self, tmp_path):
+        # the rule compares values, not the header's bytes
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, lambda m: m.__setitem__(
+            slice(None), [dict(reversed(e.items())) for e in m]))
+        loaded, _ = load_checkpoint(path)
+        for name in params:
+            assert np.array_equal(loaded[name].data, params[name].data)
+
+    @pytest.mark.parametrize("manifest", [{}, {"0": {}}, "tok_emb", 3, None])
+    def test_manifest_must_be_a_list(self, tmp_path, manifest):
+        _, cfg = tiny_model()
+        header = json.dumps({"config": dataclasses.asdict(cfg),
+                             "manifest": manifest}).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
+                         + header)
+        with pytest.raises(CheckpointError, match="manifest is not a list"):
+            load_checkpoint(str(path))
 
     def test_layer_count_is_bounded_by_the_manifest(self, tmp_path,
                                                     monkeypatch):
@@ -266,7 +315,8 @@ class TestCheckpoint:
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, cfg, path)
         self._rewrite(path, payload_suffix=b"\x00" * 4)
-        with pytest.raises(CheckpointError, match="4 bytes after"):
+        with pytest.raises(CheckpointError,
+                           match="payload has 12744 bytes, expected 12740"):
             load_checkpoint(path)
 
     def _summarize(self, path, tmp_path, capsys):
@@ -286,7 +336,8 @@ class TestCheckpoint:
         self._rewrite(path, lambda m: m.pop())
         code, err = self._summarize(path, tmp_path, capsys)
         assert code == 1
-        assert err.startswith("error: ") and "lacks tensor 'gate.b'" in err
+        assert err.startswith("error: ")
+        assert "entry 24: stored nothing, expected " + self.GATE_B in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("config, message", [
@@ -305,6 +356,10 @@ class TestCheckpoint:
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
 
+    # the model both property tests run `summarize` on
+    PROPERTY_CFG = ModelConfig(vocab_size=12, d_model=8, n_heads=2,
+                               n_layers=1, d_ff=16, max_seq_len=16, seed=0)
+
     @settings(derandomize=True, deadline=None, max_examples=100,
               database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -315,8 +370,7 @@ class TestCheckpoint:
     @example(edit=("config", "n_layers"), value=10 ** 9)
     def test_any_header_edit_works_or_fails_in_one_line(self, tmp_path,
                                                         capsys, edit, value):
-        cfg = ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1,
-                          d_ff=16, max_seq_len=16, seed=0)
+        cfg = self.PROPERTY_CFG
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(init_params(cfg), cfg, path)
 
@@ -332,6 +386,39 @@ class TestCheckpoint:
         else:
             self._rewrite(path, edit_manifest)
         code, err = self._summarize(path, tmp_path, capsys)
+        assert code == 0 or (code == 1 and len(err.splitlines()) == 1
+                             and err.startswith("error:")), err
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["ckpt", "vocab"]),
+           # keep the first `at` bytes, or XOR the byte at `at` with `mask`;
+           # `at` is taken modulo the file length
+           at=st.integers(0, 2 ** 16), mask=st.integers(0, 255),
+           beam=st.integers(1, 2), max_len=st.integers(1, 4))
+    @example(target="ckpt", at=5, mask=0, beam=1, max_len=4)  # magic + 1
+    @example(target="vocab", at=9, mask=0, beam=2, max_len=4)  # "<pad>\n<un"
+    def test_any_truncated_or_flipped_file_works_or_fails_in_one_line(
+            self, tmp_path, capsys, target, at, mask, beam, max_len):
+        cfg = self.PROPERTY_CFG
+        files = {"ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.txt"}
+        save_checkpoint(init_params(cfg), cfg, str(files["ckpt"]))
+        Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(
+            str(files["vocab"]))
+        blob = bytearray(files[target].read_bytes())
+        at %= len(blob)
+        if mask:
+            blob[at] ^= mask
+        else:
+            del blob[at:]
+        files[target].write_bytes(bytes(blob))
+        doc = tmp_path / "doc.txt"
+        doc.write_text("a b c")
+        code = main(["summarize", "--ckpt", str(files["ckpt"]),
+                     "--vocab", str(files["vocab"]), "--input", str(doc),
+                     "--beam", str(beam), "--max-len", str(max_len)])
+        err = capsys.readouterr().err
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1
                              and err.startswith("error:")), err
 

@@ -603,6 +603,17 @@ class TestSequenceLoss:
         with pytest.raises(ValueError):
             sequence_loss(params, [ex], cfg)
 
+    def test_overlong_batch_rejected_by_its_longest_example(self):
+        cfg = tiny_config()
+        params = init_params(cfg)
+        fits = EncodedExample([6, EOS], [6, EOS], [], [6, EOS])
+        # 10 source ids + 7 summary ids: max_seq_len + 1 positions
+        long = EncodedExample([6] * 9 + [EOS], [6] * 9 + [EOS], [],
+                              [6] * 6 + [EOS])
+        with pytest.raises(ValueError, match="length %d exceeds max_seq_len"
+                           % (cfg.max_seq_len + 1)):
+            sequence_loss(params, [fits, long, fits], cfg)
+
     def test_full_model_gradcheck_extended_precision(self):
         # float64 finite differences bottom out around 1e-4 relative error
         # on near-zero gradient entries, so the verification mode runs in
