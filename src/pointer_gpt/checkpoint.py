@@ -101,7 +101,7 @@ def load_checkpoint(path):
         manifest = header["manifest"]
         if not isinstance(manifest, list):
             raise TypeError("manifest is not a list")
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, RecursionError) as e:
         raise CheckpointError("corrupt checkpoint header: %s" % e) from e
 
     if config.n_layers > len(manifest):  # bounds param_specs; 16 per layer

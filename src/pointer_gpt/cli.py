@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetError, load_dataset, require_tokens,
                    split_by_index)
 from .decoder import DecodeConfig, beam_decode, greedy_decode
@@ -56,7 +56,7 @@ def _load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
@@ -116,8 +116,6 @@ def _train_model(records, cfg, seed, baseline, loss_log=None):
 
 def cmd_train(args):
     records = load_dataset(args.data)
-    if not records:
-        raise CliError("dataset %s is empty" % args.data)
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     os.makedirs(args.out, exist_ok=True)
@@ -144,10 +142,7 @@ def _decode_text(params, model_cfg, vocab, text, dcfg):
 
 
 def _load_model(args):
-    try:
-        params, model_cfg = load_checkpoint(args.ckpt)
-    except CheckpointError as e:
-        raise CliError(str(e))
+    params, model_cfg = load_checkpoint(args.ckpt)
     vocab = Vocabulary.load(args.vocab)
     if vocab.size != model_cfg.vocab_size:
         raise CliError("vocabulary size %d does not match checkpoint "
@@ -172,8 +167,6 @@ def cmd_evaluate(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
     params, model_cfg, vocab = _load_model(args)
     records = load_dataset(args.data)
-    if not records:
-        raise CliError("dataset %s is empty" % args.data)
     references = [r.summary for r in records]
     if args.self_test:
         candidates = list(references)
@@ -206,8 +199,6 @@ def run_compare(records, cfg, seed, dcfg=None):
 
 def cmd_compare(args):
     records = load_dataset(args.data)
-    if not records:
-        raise CliError("dataset %s is empty" % args.data)
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     dcfg = DecodeConfig(**_config_with_defaults(cfg, "decode"))

@@ -35,9 +35,9 @@ def load_dataset(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (json.JSONDecodeError, RecursionError) as e:
                 raise DatasetError("line %d: invalid JSON (%s)"
-                                   % (lineno, e.msg)) from e
+                                   % (lineno, getattr(e, "msg", e))) from e
             if not isinstance(obj, dict):
                 raise DatasetError("line %d: expected a JSON object" % lineno)
             for fieldname in ("source", "summary"):
@@ -50,6 +50,8 @@ def load_dataset(path):
                 require_tokens(obj[fieldname],
                                'line %d: field "%s"' % (lineno, fieldname))
             records.append(DatasetRecord(obj["source"], obj["summary"]))
+    if not records:
+        raise DatasetError("dataset %s is empty" % path)
     return records
 
 

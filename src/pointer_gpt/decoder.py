@@ -45,17 +45,21 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     distribution over the extended vocab after each emitted-id prefix.
 
     Source + SEP run once to fill a root K/V cache and fix h_src
-    (causality). Calls go in lockstep, as in batched beam search: the live
-    prefixes share one (K, V) array per layer, [k, T, d_model], one row
-    each. A call whose prefixes each extend one of the previous call's by
-    one id gathers its parents' rows and runs the k new ids as one
-    forward; a call that repeats the previous prefixes reuses their rows;
-    [()] restarts at the root. Any other call raises ContractError."""
+    (causality) and the copy head's source arrays. Calls go in lockstep, as
+    in batched beam search: the live prefixes share one (K, V) array per
+    layer, [k, T, d_model], one row each. A call whose prefixes each extend
+    one of the previous call's by one id gathers its parents' rows and runs
+    the k new ids as one forward; a call that repeats the previous prefixes
+    reuses their rows; [()] restarts at the root. Any other call raises
+    ContractError."""
     v = config.vocab_size
     root = []
     hidden = forward_hidden(params, list(source_ids) + [SEP], config,
                             cache=root).data
     h_src = Tensor(hidden[None, :-1])
+    ext_ids = np.asarray([source_ext_ids], dtype=np.int64)
+    col_mask = np.zeros(ext_ids.shape, dtype=hidden.dtype)
+    width = v + oov_count
     start = ([()], [(k[None], vv[None]) for k, vv in root], hidden[-1:])
     state = start  # (live prefixes, per-layer (K, V), their last hiddens)
 
@@ -76,7 +80,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
             hidden = forward_hidden(params, feed, config, cache=cache).data
             state = (keys, cache, hidden[:, -1])
         _, _, mixed = pointer_head(params, h_src, Tensor(state[2][None]),
-                                   [source_ext_ids], oov_count, config)
+                                   ext_ids, col_mask, width, config)
         return mixed.data[0]
 
     return step_fn

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .tensor import ContractError, Tensor, active_tape
-from .tokenizer import PAD, SEP, UNK
+from .tokenizer import PAD, SEP, SPECIAL_TOKENS, UNK
 
 NEG_INF = -1e9
 
@@ -41,14 +41,15 @@ class ModelConfig:
         if type(self.baseline) is not bool:
             raise ValueError("baseline must be true or false, got %r"
                              % (self.baseline,))
-        for name in ("d_model", "n_heads", "n_layers", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ValueError("%s must be at least 1, got %r"
-                                 % (name, getattr(self, name)))
+        # every special token needs an embedding row; SEP is fed on every input
+        for name, low in (("vocab_size", len(SPECIAL_TOKENS)), ("d_model", 1),
+                          ("n_heads", 1), ("n_layers", 1), ("d_ff", 1),
+                          ("max_seq_len", 8)):
+            if getattr(self, name) < low:
+                raise ValueError("%s must be at least %d, got %r"
+                                 % (name, low, getattr(self, name)))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.max_seq_len < 8:
-            raise ValueError("max_seq_len must be at least 8")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
@@ -131,8 +132,6 @@ def forward_hidden(params, input_ids, config, rng=None, cache=None):
     if t_past + t_len > config.max_seq_len:
         raise ValueError("sequence length %d exceeds max_seq_len %d"
                          % (t_past + t_len, config.max_seq_len))
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError("token id out of range [0, %d)" % config.vocab_size)
 
     dtype = params["tok_emb"].dtype
     drop = config.dropout_rate if rng is not None else 0.0
@@ -166,33 +165,21 @@ class PointerOutput:
     mixed: np.ndarray    # over extended vocab V + |oov|, sums to 1
 
 
-def pointer_head(params, h_src, h_t, source_ext_ids, oov_count, config):
+def pointer_head(params, h_src, h_t, ext_ids, col_mask, width, config):
     """Batched pointer head: (attn, p_gen) arrays and the mixed Tensor.
 
     h_src [B, S, d] are the final-layer states at the source positions (the
     encoder side); each row of h_t [B, N, d] is the state at a position whose
-    next token is being predicted (the decoder side). source_ext_ids holds
-    one id list per example; example b's source is the first
-    len(source_ext_ids[b]) rows of h_src, and the copy attention is masked
-    off the rows after them.
+    next token is being predicted (the decoder side). Callers build the
+    source arrays once per batch or document: ext_ids [B, S], the
+    right-padded extended ids; col_mask [B, S], 0 on a source position and
+    NEG_INF on padding, in h_src's dtype; width, vocab_size + OOV count.
     """
-    b, s = h_src.shape[:2]
-    lens = np.array([len(ids) for ids in source_ext_ids], dtype=np.int64)
-    if lens.shape != (b,) or h_t.shape[0] != b:
-        raise ContractError("need one source per example")
-    if s < 1 or lens.min() < 1:
-        raise ContractError("source must be nonempty")
-    if lens.max() != s:
-        raise ContractError("source_ext_ids length != source length")
-    ext_ids = np.zeros((b, s), dtype=np.int64)  # padding copies 0 mass
-    for row, ids in zip(ext_ids, source_ext_ids):
-        row[:len(ids)] = ids
     gate = None if config.baseline else tuple(
         params["gate." + name] for name in ("w_h", "b", "w_c"))
     mixed, attn, p_gen = ops.pointer_mixture(
-        h_src, h_t, params["ptr.w"], params["w_vocab"], gate,
-        np.where(np.arange(s) < lens[:, None], 0.0, NEG_INF), ext_ids,
-        config.vocab_size + oov_count)
+        h_src, h_t, params["ptr.w"], params["w_vocab"], gate, col_mask,
+        ext_ids, width)
     return attn, p_gen, mixed
 
 
@@ -205,7 +192,9 @@ def pointer_step(params, hidden, step, source_len, source_ext_ids,
                             % (step, source_len))
     attn, p_gen, mixed = pointer_head(
         params, ops.take_rows(hidden, [np.arange(source_len)]),
-        ops.take_rows(hidden, [[step]]), [source_ext_ids], oov_count, config)
+        ops.take_rows(hidden, [[step]]), [source_ext_ids],
+        np.zeros((1, source_len), dtype=hidden.dtype),
+        config.vocab_size + oov_count, config)
     return PointerOutput(attn=attn[0, 0].copy(), p_gen=float(p_gen[0, 0, 0]),
                          mixed=mixed.data[0, 0].copy())
 
@@ -238,16 +227,18 @@ def sequence_loss(params, examples, config, rng=None):
         raise ContractError("sequence_loss needs at least one example")
     src = np.array([len(ex.source_ids) for ex in examples])
     tgt = np.array([len(ex.target_ext_ids) for ex in examples])
-    if tgt.min() < 1:
-        raise ContractError("example has an empty target")
+    if min(src.min(), tgt.min()) < 1:
+        raise ContractError("example has an empty source or target")
     need = int(positions_needed(src, tgt).max())
     s, n = int(src.max()), int(tgt.max())
     ids = np.full((b, need), PAD)
     targets = np.full((b, n), PAD)
+    ext_ids = np.zeros((b, s), dtype=np.int64)  # padding copies 0 mass
     for row, ex in enumerate(examples):
         fed = teacher_forced_ids(ex, config.vocab_size)
         ids[row, :len(fed)] = fed
         targets[row, :tgt[row]] = ex.target_ext_ids
+        ext_ids[row, :src[row]] = ex.source_ext_ids
     # the causal mask already keeps every real row off the right padding
     hidden = forward_hidden(params, ids, config, rng=rng)
     steps = np.arange(n)
@@ -255,8 +246,9 @@ def sequence_loss(params, examples, config, rng=None):
     _, _, mixed = pointer_head(
         params, ops.take_rows(hidden, np.broadcast_to(np.arange(s), (b, s))),
         ops.take_rows(hidden, np.where(real, src[:, None] + steps, 0)),
-        [ex.source_ext_ids for ex in examples],
-        max(len(ex.oov) for ex in examples), config)
+        ext_ids, np.where(np.arange(s) < src[:, None], 0.0,
+                          NEG_INF).astype(hidden.dtype),
+        config.vocab_size + max(len(ex.oov) for ex in examples), config)
     # example b's n_b steps weigh 1 / (B * n_b) each; padded steps 0
     weights = (np.asarray(real, dtype=hidden.dtype)
                / np.asarray(b * tgt, dtype=hidden.dtype)[:, None])

@@ -228,8 +228,12 @@ def pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask, ext_ids,
     accumulate). attn and p_gen are plain arrays, without a gradient."""
     hs, ht, wp, wv = h_src.data, h_t.data, w_ptr.data, w_vocab.data
     ids = np.asarray(ext_ids, dtype=np.int64)
+    if ht.shape[:-2] != hs.shape[:-2]:
+        raise ShapeError("h_t %s vs h_src %s" % (ht.shape, hs.shape))
     if ids.shape != hs.shape[:-1]:
         raise ShapeError("ext_ids %s vs h_src %s" % (ids.shape, hs.shape))
+    if hs.shape[-2] < 1:
+        raise ContractError("pointer_mixture needs a source position")
     if ids.size and (ids.min() < 0 or ids.max() >= width):
         raise ContractError("ext_ids out of range [0, %d)" % width)
     a1, hs_t = ht @ wp, hs.swapaxes(-1, -2)

@@ -422,6 +422,23 @@ class TestCheckpoint:
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1
                              and err.startswith("error:")), err
 
+    def test_vocab_size_below_the_special_tokens(self, tmp_path):
+        # manifest and payload match vocab_size -1, so only ModelConfig stops
+        # np.frombuffer from reading -1 rows, which it takes as "to the end"
+        params, cfg = tiny_model()
+        manifest, total = checkpoint.build_manifest(
+            (name, [-1 if n == cfg.vocab_size else n for n in p.data.shape])
+            for name, p in params.items())
+        header = json.dumps({"config": dict(dataclasses.asdict(cfg),
+                                            vocab_size=-1),
+                             "manifest": manifest}).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
+                         + header + b"\x00" * total)
+        with pytest.raises(CheckpointError,
+                           match="vocab_size must be at least 5, got -1"):
+            load_checkpoint(str(path))
+
     def test_no_partial_file_on_success(self, tmp_path):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
@@ -766,12 +783,19 @@ class TestCliEvaluate:
         assert capsys.readouterr().out.count("1.0000") == 6
 
     def test_empty_dataset_rejected(self, trained, tmp_path, capsys):
+        # one rule in load_dataset serves every command that reads a dataset
         _, ckpt, vocab, _ = trained
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert main(["evaluate", "--ckpt", ckpt, "--vocab", vocab,
-                     "--data", str(empty)]) == 1
-        assert "empty" in capsys.readouterr().err
+        data = tmp_path / "data.jsonl"
+        for text in ("", "\n \n\t\n"):
+            data.write_text(text)
+            for command in (["train", "--out", str(tmp_path / "o")],
+                            ["evaluate", "--ckpt", ckpt, "--vocab", vocab],
+                            ["compare"]):
+                code = main(command + ["--data", str(data)])
+                captured = capsys.readouterr()
+                assert code == 1, command
+                assert captured.err == "error: dataset %s is empty\n" % data
+                assert captured.out == ""
 
     def test_report_table_layout(self, trained, capsys):
         _, ckpt, vocab, data = trained
@@ -834,3 +858,26 @@ class TestCompare:
                      str(config), "--seed", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: %s\n" % message
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("target", ["config", "dataset", "checkpoint"])
+    def test_one_error_line(self, tmp_path, capsys, data_path, config_path,
+                            target):
+        # json raises RecursionError on 100,000 nested arrays
+        deep = tmp_path / "deep"
+        deep.write_bytes(b"[" * 100000)
+        if target == "checkpoint":
+            deep.write_bytes(MAGIC + struct.pack("<II", VERSION, 100000)
+                             + b"[" * 100000)
+            argv = ["summarize", "--ckpt", str(deep), "--vocab",
+                    str(tmp_path / "vocab.txt"), "--input", data_path]
+        else:
+            argv = ["train", "--out", str(tmp_path / "o"),
+                    "--data", data_path if target == "config" else str(deep),
+                    "--config", str(deep) if target == "config"
+                    else config_path]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err

@@ -559,6 +559,24 @@ class TestElementwiseOps:
         with pytest.raises(ContractError, match="out of range"):
             ops.pointer_mixture(*args, mask, [[0, 1, 2, 8]], 8)
 
+    def test_mixture_needs_matching_batch_axes(self):
+        # numpy alone would broadcast h_src's one example over h_t's three
+        rng = np.random.default_rng(17)
+        h_src, h_t, w_ptr, w_vocab = (
+            Tensor(rng.normal(size=shape))
+            for shape in ((1, 5, 8), (3, 2, 8), (8, 8), (8, 4)))
+        with pytest.raises(ShapeError, match="h_t"):
+            ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, None,
+                                np.zeros((1, 5)), np.zeros((1, 5), int), 12)
+
+    def test_mixture_needs_a_source_position(self):
+        h_src, h_t, w_ptr, w_vocab = (
+            Tensor(np.zeros(shape))
+            for shape in ((1, 0, 8), (1, 2, 8), (8, 8), (8, 4)))
+        with pytest.raises(ContractError, match="source position"):
+            ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, None,
+                                np.zeros((1, 0)), np.zeros((1, 0), int), 12)
+
     def test_nll_floor(self):
         probs = t64([[0.0, 1.0], [0.5, 0.5]])
         with Tape() as tape:
