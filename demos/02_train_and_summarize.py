@@ -32,8 +32,7 @@ params = init_params(config)
 print("training on %d pairs, vocab size %d ..." % (len(PAIRS), vocab.size))
 report = train(params, examples,
                TrainConfig(epochs=200, batch_size=2, seed=0), config)
-print("final batch loss: %.4f (%.1fs)"
-      % (report.losses[-1], report.wall_clock))
+print("final batch loss: %.4f" % report.losses[-1])
 
 print("\ngenerated summaries:")
 for src, tgt in PAIRS:

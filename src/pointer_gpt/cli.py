@@ -109,9 +109,8 @@ def _train_model(records, cfg, seed, baseline, loss_log=None):
     vocab, model_cfg, examples = _prepare_corpus(records, cfg, seed, baseline)
     params = init_params(model_cfg)
     train_cfg = TrainConfig(seed=seed, **cfg.get("train", {}))
-    report = train(params, examples, train_cfg, model_cfg,
-                   loss_log_path=loss_log)
-    return vocab, model_cfg, params, report
+    train(params, examples, train_cfg, model_cfg, loss_log_path=loss_log)
+    return vocab, model_cfg, params
 
 
 def cmd_train(args):
@@ -119,7 +118,7 @@ def cmd_train(args):
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     os.makedirs(args.out, exist_ok=True)
-    vocab, model_cfg, params, _report = _train_model(
+    vocab, model_cfg, params = _train_model(
         records, cfg, seed, args.baseline,
         loss_log=os.path.join(args.out, "loss.log"))
     vocab.save(os.path.join(args.out, "vocab.txt"))
@@ -187,7 +186,7 @@ def run_compare(records, cfg, seed, dcfg=None):
         raise CliError("dataset too small for an 80/20 split")
     rows = []
     for label, baseline in (("GPT-baseline", True), ("PointerGPT", False)):
-        vocab, model_cfg, params, _report = _train_model(
+        vocab, model_cfg, params = _train_model(
             train_recs, cfg, seed, baseline)
         candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
                       for r in eval_recs]
@@ -258,7 +257,7 @@ def main(argv=None):
     except (CliError, DatasetError, TrainingError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except MemoryError as e:  # the config file bounds no model dimension
+    except MemoryError as e:  # a model within MAX_PARAMS may still not fit
         print("error: out of memory: %s" % e, file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ source words outside the vocabulary stay reachable via their extended ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .tensor import ContractError, Tensor, active_tape
 from .tokenizer import PAD, SEP, SPECIAL_TOKENS, UNK
 
 NEG_INF = -1e9
+# ModelConfig's size bound, checked before any allocation: the layer cap
+# keeps param_specs' loop short, and the parameter cap keeps the float32
+# weights within 200 MB (training holds them, their gradients and Adam's
+# two moments).
+MAX_LAYERS = 64
+MAX_PARAMS = 50_000_000
 
 
 @dataclass
@@ -52,6 +59,14 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.n_layers > MAX_LAYERS:
+            raise ValueError("n_layers must be at most %d, got %d"
+                             % (MAX_LAYERS, self.n_layers))
+        count = sum(math.prod(shape)
+                    for shape, _ in param_specs(self).values())
+        if count > MAX_PARAMS:
+            raise ValueError("model has %d parameters, more than %d"
+                             % (count, MAX_PARAMS))
 
 
 def param_specs(config):

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import sequence_loss
-from .optim import AdamState, adam_step, clip_grad_norm
+from .optim import adam_step, clip_grad_norm
 from .tensor import Tape, backward
 
 
@@ -50,7 +49,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     losses: list = field(default_factory=list)  # per optimizer step
-    wall_clock: float = 0.0
 
 
 def train(params, dataset, tcfg, mcfg, loss_log_path=None):
@@ -60,12 +58,11 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
-    start = time.monotonic()
     rng = np.random.default_rng(tcfg.seed)
     drop_rng = np.random.default_rng(tcfg.seed + 1)
     tensors = list(params.values())
-    state = AdamState(tensors, lr=tcfg.lr, beta1=tcfg.beta1,
-                      beta2=tcfg.beta2, eps=tcfg.eps)
+    moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
+               for p in tensors]
     report = TrainReport()
     log = open(loss_log_path, "a", encoding="utf-8") if loss_log_path else None
     step = 0
@@ -88,13 +85,12 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                 grads = [grads[p] if p in grads else np.zeros_like(p.data)
                          for p in tensors]
                 grads, _norm = clip_grad_norm(grads, tcfg.max_grad_norm)
-                adam_step(state, grads)
                 step += 1
+                adam_step(tensors, grads, moments, step, tcfg)
                 report.losses.append(value)
                 if log:
                     log.write("%d\t%.6f\n" % (step, value))
     finally:
         if log:
             log.close()
-    report.wall_clock = time.monotonic() - start
     return report

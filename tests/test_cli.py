@@ -306,8 +306,8 @@ class TestCheckpoint:
         self._rewrite(path, config={"n_layers": 10 ** 9})
         monkeypatch.setattr(checkpoint, "param_specs", unbounded)
         with pytest.raises(CheckpointError,
-                           match="25 manifest entries, too few for "
-                                 "1000000000 layers"):
+                           match="n_layers must be at most 64, "
+                                 "got 1000000000"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
@@ -599,18 +599,37 @@ class TestCliTrain:
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, data_path,
                                              capsys, monkeypatch):
-        # a (1e9, 64) float64 pos_emb is 512 GB: fake the failed allocation
+        # a (700000, 64) pos_emb is within MAX_PARAMS, but its float64
+        # draw is 342 MB: fake a host on which that allocation fails
         def unallocatable(config, dtype=np.float32):
-            raise MemoryError("Unable to allocate 477. GiB")
+            raise MemoryError("Unable to allocate 342. MiB")
 
         monkeypatch.setattr(cli, "init_params", unallocatable)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": {"max_seq_len": 10 ** 9}}))
+        config.write_text(json.dumps({"model": {"max_seq_len": 700000}}))
         code = main(["train", "--data", data_path, "--out",
                      str(tmp_path / "o"), "--config", str(config)])
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: out of memory: Unable to allocate 477. GiB\n")
+            "error: out of memory: Unable to allocate 342. MiB\n")
+
+    @pytest.mark.parametrize("model, message", [
+        ({"max_seq_len": 10 ** 9},
+         "model has 64000075009 parameters, more than 50000000"),
+        ({"n_layers": 65}, "n_layers must be at most 64, got 65"),
+    ])
+    def test_model_above_the_size_bound_is_one_error_line(
+            self, tmp_path, data_path, capsys, monkeypatch, model, message):
+        def no_allocation(config, dtype=np.float32):
+            raise AssertionError("allocated a model above the bound")
+
+        monkeypatch.setattr(cli, "init_params", no_allocation)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": model}))
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
     @settings(derandomize=True, deadline=None, max_examples=300,
               database=None,

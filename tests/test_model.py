@@ -9,8 +9,8 @@ import pytest
 from pointer_gpt import ops
 from pointer_gpt.decoder import make_step_fn
 from pointer_gpt.model import (
-    ModelConfig, _attention, _causal_mask, init_params, forward_hidden,
-    param_specs, pointer_step, sequence_loss, teacher_forced_ids,
+    MAX_LAYERS, MAX_PARAMS, ModelConfig, _attention, _causal_mask,
+    init_params, forward_hidden, param_specs, pointer_step, sequence_loss, teacher_forced_ids,
 )
 from pointer_gpt.tensor import (ContractError, Tape, Tensor, backward,
                                 make_output)
@@ -55,6 +55,43 @@ class TestModelConfig:
                            % value):
             tiny_config(vocab_size=value)
         tiny_config(vocab_size=5)
+
+    def test_layer_count_is_bounded_before_param_specs(self, monkeypatch):
+        def unbounded(config):
+            raise AssertionError("param_specs ran for %d layers"
+                                 % config.n_layers)
+
+        monkeypatch.setattr("pointer_gpt.model.param_specs", unbounded)
+        with pytest.raises(ValueError, match="n_layers must be at most %d, "
+                           "got 1000000000" % MAX_LAYERS):
+            tiny_config(n_layers=10 ** 9)
+
+    def test_parameter_count_is_bounded(self):
+        # at d_model 1 each max_seq_len step adds one parameter (a pos_emb row)
+        def count(cfg):
+            return sum(math.prod(shape)
+                       for shape, _ in param_specs(cfg).values())
+
+        dims = dict(vocab_size=5, d_model=1, n_heads=1, n_layers=1, d_ff=1)
+        at_bound = 8 + MAX_PARAMS - count(ModelConfig(max_seq_len=8, **dims))
+        assert count(ModelConfig(max_seq_len=at_bound, **dims)) == MAX_PARAMS
+        with pytest.raises(ValueError, match="model has %d parameters, more "
+                           "than %d" % (MAX_PARAMS + 1, MAX_PARAMS)):
+            ModelConfig(max_seq_len=at_bound + 1, **dims)
+
+    @pytest.mark.parametrize("field",
+                             ["vocab_size", "d_model", "d_ff", "max_seq_len"])
+    def test_every_dimension_is_bounded(self, field):
+        with pytest.raises(ValueError, match="more than %d" % MAX_PARAMS):
+            tiny_config(**{field: 10 ** 9})
+
+    @pytest.mark.parametrize("dims", [
+        {},  # the README config and the bench model, at vocab max_size 4000
+        # the largest the CLI property tests generate
+        dict(d_model=64, n_layers=64, d_ff=64, max_seq_len=64),
+    ], ids=["defaults", "property-tests"])
+    def test_documented_models_are_admitted(self, dims):
+        ModelConfig(vocab_size=4000, **dims)
 
     def test_round_trip_dict(self):
         cfg = tiny_config(baseline=True)

@@ -10,8 +10,9 @@ import pytest
 from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import _causal_mask
-from pointer_gpt.optim import AdamState, adam_step, clip_grad_norm
+from pointer_gpt.optim import adam_step, clip_grad_norm
 from pointer_gpt.tensor import ContractError, ShapeError, Tape, Tensor, backward
+from pointer_gpt.trainer import TrainConfig
 
 
 def t64(arr, requires_grad=True):
@@ -394,35 +395,82 @@ class TestBackward:
             assert np.array_equal(first[t], second[t])
 
 
+def zero_moments(params):
+    return [(np.zeros_like(p.data), np.zeros_like(p.data)) for p in params]
+
+
 class TestAdam:
     def test_first_step_moves_by_lr(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState([p], lr=0.1)
-        adam_step(state, [np.array([1.0], dtype=np.float32)])
-        assert state.t == 1
+        adam_step([p], [np.array([1.0], dtype=np.float32)], zero_moments([p]),
+                  1, TrainConfig(lr=0.1))
         np.testing.assert_allclose(p.data, [0.9], atol=1e-6)
 
     def test_zero_grad_leaves_parameter(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
-        adam_step(AdamState([p], lr=0.1), [np.zeros(1, dtype=np.float32)])
+        adam_step([p], [np.zeros(1, dtype=np.float32)], zero_moments([p]), 1,
+                  TrainConfig(lr=0.1))
         np.testing.assert_allclose(p.data, [1.0])
 
     def test_missing_grad_rejected(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         q = Tensor(np.array([2.0]), requires_grad=True)
         with pytest.raises(ContractError):
-            adam_step(AdamState([p, q]), [np.ones(1, dtype=np.float32)])
+            adam_step([p, q], [np.ones(1, dtype=np.float32)],
+                      zero_moments([p, q]), 1, TrainConfig())
 
     def test_quadratic_loss_decreases(self):
         # loss = p^2, grad = 2p
         p = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState([p], lr=0.1)
+        moments = zero_moments([p])
         losses = []
-        for _ in range(2):
+        for t in (1, 2):
             losses.append(float(p.data[0] ** 2))
-            adam_step(state, [2.0 * p.data])
+            adam_step([p], [2.0 * p.data], moments, t, TrainConfig(lr=0.1))
         losses.append(float(p.data[0] ** 2))
         assert losses[0] > losses[1] > losses[2]
+
+    # every setting away from its default; eps is large enough to matter
+    TCFG = TrainConfig(lr=0.05, beta1=0.7, beta2=0.95, eps=0.3)
+    GRADS = (np.array([0.2, -0.5, 0.03]), np.array([-0.4, 0.1, 0.06]))
+
+    @staticmethod
+    def closed_form(tcfg, grads, mistake=None):
+        """The sum of Kingma & Ba's bias-corrected updates over the steps,
+        or of the updates an optimizer with the named mistake makes."""
+        b1, b2 = tcfg.beta1, tcfg.beta2
+        if mistake == "swapped betas":
+            b1, b2 = b2, b1
+        m = v = total = 0.0
+        for t, g in enumerate(grads, start=1):
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            c1, c2, eps = 1 - b1 ** t, 1 - b2 ** t, tcfg.eps
+            if mistake == "eps without sqrt(correction2)":
+                eps = tcfg.eps / np.sqrt(c2)
+            if mistake == "no bias correction":
+                c1 = c2 = 1
+            total = total + tcfg.lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        return total
+
+    def test_train_config_settings_reach_the_update(self):
+        p = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64,
+                   requires_grad=True)
+        start = p.data.copy()
+        moments = zero_moments([p])
+        for t, g in enumerate(self.GRADS, start=1):
+            adam_step([p], [g], moments, t, self.TCFG)
+        want = start - self.closed_form(self.TCFG, self.GRADS)
+        np.testing.assert_allclose(p.data, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("mistake", [
+        "swapped betas", "eps without sqrt(correction2)",
+        "no bias correction"])
+    def test_each_mistake_is_outside_the_tolerance(self, mistake):
+        # mutation control: these settings and grads tell each mistake apart
+        right = self.closed_form(self.TCFG, self.GRADS)
+        wrong = self.closed_form(self.TCFG, self.GRADS, mistake)
+        assert np.max(np.abs(wrong - right) / np.abs(right)) > 1e-3
 
 
 class TestClipGradNorm:
