@@ -113,10 +113,12 @@ def load_checkpoint(path):
     if len(raw) - header_end != total:
         raise CheckpointError("%s: payload has %d bytes, expected %d"
                               % (path, len(raw) - header_end, total))
+    payload = np.frombuffer(raw, "<f4", total // 4, header_end)
+    if not np.isfinite(payload).all():
+        raise CheckpointError("%s: payload holds a NaN or inf weight" % path)
     tensors = {}
     for e in manifest:
-        arr = np.frombuffer(raw, "<f4", math.prod(e["shape"]),
-                            header_end + e["offset"])
+        arr = payload[e["offset"] // 4:][:math.prod(e["shape"])]
         tensors[e["name"]] = Tensor(arr.reshape(e["shape"]).astype(np.float32),
                                     requires_grad=True)
     return tensors, config

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tokenizer import tokenize
+from .tokenizer import SPECIAL_TOKENS, tokenize
+
+TRAIN_FRACTION = 0.8  # the share of records split_by_index trains on
 
 
 @dataclass
@@ -83,21 +85,13 @@ _SYLLABLES = ["zor", "vek", "quil", "dra", "fen", "lux", "mor", "tiv",
               "gax", "pyr", "wen", "hoz", "bim", "kel", "juf", "ryn"]
 
 
-def marker_pool(size=_MARKER_POOL_SIZE):
+def marker_pool():
     """Deterministic pool of nonsense marker words (never in-vocab)."""
     n = len(_SYLLABLES)
-    if size > n * n * n:
-        raise ValueError("marker pool cannot exceed %d" % (n * n * n))
-    pool = []
-    i = 0
-    while len(pool) < size:
-        word = (_SYLLABLES[i % n]
-                + _SYLLABLES[(i // n + 3) % n]
-                + _SYLLABLES[(i // (n * n) + 5) % n])
-        if word not in pool:
-            pool.append(word)
-        i += 1
-    return pool
+    return [_SYLLABLES[i % n]
+            + _SYLLABLES[(i // n + 3) % n]
+            + _SYLLABLES[(i // (n * n) + 5) % n]
+            for i in range(_MARKER_POOL_SIZE)]
 
 
 def copy_task_vocab_size():
@@ -109,10 +103,10 @@ def copy_task_vocab_size():
     """
     template_text = " ".join(_INTROS) + " " + _SOURCE_TAIL + " " \
         + (_SUMMARY_TEMPLATE % "")
-    return 5 + len(set(tokenize(template_text)))
+    return len(SPECIAL_TOKENS) + len(set(tokenize(template_text)))
 
 
-def synthetic_copy_task(n_records=200, seed=0):
+def synthetic_copy_task(n_records, seed):
     """Generate the copy-task corpus: markers must be copied verbatim."""
     rng = np.random.default_rng(seed)
     pool = marker_pool()
@@ -128,7 +122,7 @@ def synthetic_copy_task(n_records=200, seed=0):
     return records
 
 
-def split_by_index(records, train_fraction=0.8):
-    """Deterministic split: first floor(f*n) records train, rest held out."""
-    cut = int(len(records) * train_fraction)
+def split_by_index(records):
+    """Deterministic split: first int(n * TRAIN_FRACTION) records train."""
+    cut = int(len(records) * TRAIN_FRACTION)
     return records[:cut], records[cut:]

@@ -37,7 +37,6 @@ class DecodeConfig:
 class Hypothesis:
     ids: tuple          # extended ids emitted so far
     log_prob: float
-    finished: bool
 
 
 def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
@@ -54,13 +53,13 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     ContractError."""
     v = config.vocab_size
     root = []
-    hidden = forward_hidden(params, list(source_ids) + [SEP], config,
+    hidden = forward_hidden(params, [list(source_ids) + [SEP]], config,
                             cache=root).data
-    h_src = Tensor(hidden[None, :-1])
+    h_src = Tensor(hidden[:, :-1])
     ext_ids = np.asarray([source_ext_ids], dtype=np.int64)
     col_mask = np.zeros(ext_ids.shape, dtype=hidden.dtype)
     width = v + oov_count
-    start = ([()], [(k[None], vv[None]) for k, vv in root], hidden[-1:])
+    start = ([()], root, hidden[:, -1])
     state = start  # (live prefixes, per-layer (K, V), their last hiddens)
 
     def step_fn(prefixes):
@@ -101,15 +100,15 @@ def greedy_search(step_fn, max_len):
         dist = step_fn([out])[0]
         nxt = int(np.argmax(dist))
         log_prob += math.log(max(float(dist[nxt]), LOG_FLOOR))
-        if nxt == EOS:
-            return Hypothesis(tuple(out) + (EOS,), log_prob, True)
         out.append(nxt)
-    return Hypothesis(tuple(out), log_prob, False)
+        if nxt == EOS:
+            break
+    return Hypothesis(tuple(out), log_prob)
 
 
 def beam_search(step_fn, max_len, beam_width):
     """Standard beam search; finished hypotheses retire to a pool."""
-    beams = [Hypothesis((), 0.0, False)]
+    beams = [Hypothesis((), 0.0)]
     finished = []
     for _ in range(max_len):
         candidates = []
@@ -117,11 +116,11 @@ def beam_search(step_fn, max_len, beam_width):
             for nxt in np.argsort(-dist, kind="stable")[:beam_width].tolist():
                 lp = hyp.log_prob + math.log(max(float(dist[nxt]),
                                                  LOG_FLOOR))
-                candidates.append(Hypothesis(hyp.ids + (nxt,), lp, nxt == EOS))
+                candidates.append(Hypothesis(hyp.ids + (nxt,), lp))
         candidates.sort(key=lambda h: (-h.log_prob, h.ids))
         beams = []
         for hyp in candidates[:beam_width]:
-            (finished if hyp.finished else beams).append(hyp)
+            (finished if hyp.ids[-1] == EOS else beams).append(hyp)
         if not beams:
             break
     pool = finished if finished else beams
@@ -129,8 +128,7 @@ def beam_search(step_fn, max_len, beam_width):
 
 
 def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,
-                  dcfg=None):
-    dcfg = dcfg or DecodeConfig()
+                  dcfg):
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)

@@ -16,6 +16,7 @@ from .tensor import ShapeError, ContractError, Tensor, make_output
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 LOG_FLOOR = 1e-12  # a probability below it scores as log(LOG_FLOOR)
+LN_EPS = 1e-5
 
 
 def _unbroadcast(g, shape):
@@ -136,13 +137,13 @@ def softmax_rows(x):
     return make_output(out, (x,), bwd)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Per-row zero-mean/unit-variance normalization with affine."""
     xd = x.data
     d = xd.shape[-1]  # both means: np.mean's arithmetic, not its wrapper
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 

@@ -27,7 +27,7 @@ def adam_step(params, grads, moments, t, tcfg):
         p.data -= (step * m / (np.sqrt(v) + eps)).astype(p.dtype)
 
 
-def clip_grad_norm(grads, max_norm=1.0):
+def clip_grad_norm(grads, max_norm):
     """(grads scaled so their global L2 norm is at most max_norm, pre-clip norm).
 
     The inputs are never written: leaves fed through one op can share a

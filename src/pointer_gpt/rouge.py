@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .tokenizer import tokenize
 
+ROUGE_NS = (1, 2)
+
 
 @dataclass
 class RougeScore:
@@ -50,15 +52,15 @@ def rouge_n(candidate, reference, n):
     return rouge_n_tokens(tokenize(candidate), tokenize(reference), n)
 
 
-def rouge_report(candidates, references, ns=(1, 2)):
-    """Corpus scores: mean of per-pair P, R, and F, per n."""
+def rouge_report(candidates, references):
+    """Corpus scores: mean of per-pair P, R, and F, per n in ROUGE_NS."""
     if len(candidates) != len(references):
         raise ValueError("candidate/reference counts differ: %d vs %d"
                          % (len(candidates), len(references)))
     if not candidates:
         raise ValueError("need at least one candidate/reference pair")
     report = {}
-    for n in ns:
+    for n in ROUGE_NS:
         scores = [rouge_n(c, r, n) for c, r in zip(candidates, references)]
         k = len(scores)
         report[n] = RougeScore(

@@ -10,8 +10,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-PAD, UNK, BOS, EOS, SEP = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ["<pad>", "<unk>", "<bos>", "<eos>", "<sep>"]
+PAD, UNK, BOS, EOS, SEP = range(len(SPECIAL_TOKENS))
 
 # alphanumeric runs (underscore counts as punctuation), else one char per
 # non-whitespace punctuation character
@@ -24,7 +24,7 @@ def tokenize(text):
 
 
 class Vocabulary:
-    """Bijective token<->id map; ids 0-4 are the reserved specials."""
+    """Bijective token<->id map; the first ids are SPECIAL_TOKENS."""
 
     def __init__(self, tokens):
         self.id_to_token = list(SPECIAL_TOKENS) + list(tokens)
@@ -56,24 +56,25 @@ class Vocabulary:
             lines = f.read().split("\n")
         if lines and lines[-1] == "":
             lines.pop()
-        if lines[:5] != SPECIAL_TOKENS:
-            raise ValueError("vocabulary file must start with the five "
-                             "special tokens %s" % SPECIAL_TOKENS)
-        return cls(lines[5:])
+        if lines[:len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
+            raise ValueError("vocabulary file must start with %s"
+                             % SPECIAL_TOKENS)
+        return cls(lines[len(SPECIAL_TOKENS):])
 
 
 def build_vocab(corpus, max_size, min_freq=1):
     """Specials + most-frequent tokens, ties broken lexicographically."""
-    if max_size <= 5:
-        raise ValueError("max_size must exceed the 5 reserved specials")
+    if max_size <= len(SPECIAL_TOKENS):
+        raise ValueError("max_size must exceed the %d reserved specials"
+                         % len(SPECIAL_TOKENS))
     if min_freq < 1:
         raise ValueError("min_freq must be at least 1, got %r" % min_freq)
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, c in ranked if c >= min_freq][: max_size - 5]
-    return Vocabulary(kept)
+    kept = [tok for tok, c in ranked if c >= min_freq]
+    return Vocabulary(kept[:max_size - len(SPECIAL_TOKENS)])
 
 
 @dataclass

@@ -64,7 +64,7 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
                for p in tensors]
     report = TrainReport()
-    log = open(loss_log_path, "a", encoding="utf-8") if loss_log_path else None
+    log = open(loss_log_path, "w", encoding="utf-8") if loss_log_path else None
     step = 0
     try:
         for _epoch in range(tcfg.epochs):

@@ -14,7 +14,7 @@ from pointer_gpt.checkpoint import (MAGIC, VERSION, CheckpointError,
                                     load_checkpoint, save_checkpoint)
 from pointer_gpt.cli import CONFIG_SECTIONS, main, run_compare
 from pointer_gpt.data import (DatasetError, DatasetRecord, load_dataset,
-                              save_dataset, split_by_index,
+                              marker_pool, save_dataset, split_by_index,
                               synthetic_copy_task)
 from pointer_gpt.model import ModelConfig, init_params, sequence_loss
 from pointer_gpt.decoder import DecodeConfig, beam_decode
@@ -94,6 +94,12 @@ class TestSplit:
     def test_eighty_twenty(self):
         train, held = split_by_index(list(range(10)))
         assert train == list(range(8)) and held == [8, 9]
+
+
+class TestCopyTask:
+    def test_marker_pool_words_are_distinct(self):
+        pool = marker_pool()
+        assert len(pool) == 60 and len(set(pool)) == 60
 
 
 def tiny_model():
@@ -422,6 +428,18 @@ class TestCheckpoint:
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1
                              and err.startswith("error:")), err
 
+    def test_non_finite_weight(self, tmp_path, capsys):
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        params["w_vocab"].data[3, 5] = np.nan
+        save_checkpoint(params, cfg, path)
+        with pytest.raises(CheckpointError, match="NaN or inf weight"):
+            load_checkpoint(path)
+        code, err = self._summarize(path, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and "NaN or inf weight" in err
+        assert len(err.splitlines()) == 1
+
     def test_vocab_size_below_the_special_tokens(self, tmp_path):
         # manifest and payload match vocab_size -1, so only ModelConfig stops
         # np.frombuffer from reading -1 rows, which it takes as "to the end"
@@ -457,6 +475,16 @@ class TestCliTrain:
         assert (tmp_path / "run" / "model.ckpt").exists()
         assert (tmp_path / "run" / "vocab.txt").exists()
         assert (tmp_path / "run" / "loss.log").exists()
+
+    def test_loss_log_holds_the_last_run_only(self, tmp_path, data_path,
+                                              config_path):
+        out = str(tmp_path / "run")
+        for _ in range(2):
+            assert main(["train", "--data", data_path, "--out", out,
+                         "--config", config_path, "--seed", "0"]) == 0
+        lines = (tmp_path / "run" / "loss.log").read_text().splitlines()
+        # 4 records, batch 2, 2 epochs: 4 optimizer steps per run
+        assert [int(line.split("\t")[0]) for line in lines] == [1, 2, 3, 4]
 
     def test_same_seed_identical_checkpoints(self, tmp_path, data_path,
                                              config_path):
