@@ -1,8 +1,8 @@
 """A tour of the tape-based autodiff kernel.
 
-Builds a tiny computation, runs the backward pass (which returns the
-gradient of every leaf tensor), and cross-checks the gradients against
-central finite differences.
+Builds a tiny pointer-head model from the ops the summarizer runs, runs
+the backward pass (which returns the gradient of every leaf tensor), and
+cross-checks the gradients against central finite differences.
 """
 
 import numpy as np
@@ -11,42 +11,50 @@ from pointer_gpt import ops
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.tensor import Tape, Tensor, backward
 
-# 1. A scalar function of a matrix: f(W) = sum(softmax_rows(x @ W))
 rng = np.random.default_rng(0)
-x = Tensor(rng.normal(size=(3, 4)).astype(np.float64))
-w = Tensor(rng.normal(size=(4, 5)).astype(np.float64), requires_grad=True)
 
+
+def leaf(*shape):
+    return Tensor(rng.normal(0.0, 0.5, size=shape), requires_grad=True)
+
+
+# 1. Three decoder rows read four source rows (d = 4). The pointer head
+# mixes a 5-word vocabulary softmax with copy attention over the source;
+# source words 1 and 3 are the same out-of-vocabulary word, extended id 5.
+x = Tensor(rng.normal(size=(1, 3, 4)))  # float64 data that needs no grad
+h_src = leaf(1, 4, 4)
+w, b, gain, bias, w_ptr, w_vocab = (leaf(4, 4), leaf(4), leaf(4), leaf(4),
+                                    leaf(4, 4), leaf(4, 5))
+gate = (leaf(4, 1), leaf(1, 1), leaf(4, 1))  # p_gen's w_h, b and w_c
+ext_ids, col_mask = np.array([[2, 5, 4, 5]]), np.zeros((1, 4))
+targets, weights = np.array([[5, 4, 1]]), np.full((1, 3), 1.0 / 3.0)
+
+
+def f(h_src, w, b, gain, bias, w_ptr, w_vocab, *gate):
+    h_t = ops.layer_norm(ops.gelu(ops.linear(x, w, b)), gain, bias)
+    mixed, _, _ = ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate,
+                                      col_mask, ext_ids, 6)
+    return ops.nll(mixed, targets, weights)  # mean -log p(target)
+
+
+leaves = [h_src, w, b, gain, bias, w_ptr, w_vocab, *gate]
 with Tape() as tape:
-    logits = ops.matmul(x, w)
-    probs = ops.softmax_rows(logits)
-    loss = ops.sum_all(probs)
+    loss = f(*leaves)
 grads = backward(tape, loss)  # {leaf tensor: gradient}; x needs none
-
+assert grads.keys() == set(leaves)
 print("loss =", float(loss.data))
-print("grad shape:", grads[w].shape)
-# each softmax row sums to one no matter what W is, so f is constant and
-# every gradient entry must be (numerically) zero
-print("max |grad| for a constant function:", np.abs(grads[w]).max())
+print("gradients of %d leaves, shapes %s"
+      % (len(grads), [grads[t].shape for t in leaves]))
 
-# 2. The same check, automated: gradcheck compares the analytic gradient
-# against central differences and reports the worst relative error.
-w2 = Tensor(rng.normal(size=(4, 4)).astype(np.float64), requires_grad=True)
-b = Tensor(np.zeros(4), requires_grad=True)
-
-
-def f(w2, b):
-    return ops.mean_all(ops.gelu(ops.add(ops.matmul(x, w2), b)))
-
-
-err = gradcheck(f, [w2, b])
+# 2. gradcheck compares the analytic gradient against central differences
+# and reports the worst relative error over every element of every leaf.
+err = gradcheck(f, leaves)
 print("gradcheck worst relative error:", err)
 assert err < 1e-5
 
 # 3. backward writes nothing into the tensors, so nothing accumulates:
 # replaying one tape twice returns equal gradients.
-v = Tensor(np.ones(3), requires_grad=True)
-with Tape() as tape:
-    out = ops.sum_all(ops.mul(v, v))
-first, second = backward(tape, out), backward(tape, out)
-assert np.array_equal(first[v], second[v])
-print("grad of sum(v * v) at v = 1, twice (expect 2s):", first[v], second[v])
+again = backward(tape, loss)
+assert all(np.array_equal(grads[t], again[t]) for t in leaves)
+print("replayed tape, max |gradient difference|:",
+      max(float(np.abs(grads[t] - again[t]).max()) for t in leaves))

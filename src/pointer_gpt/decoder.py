@@ -108,8 +108,9 @@ def greedy_search(step_fn, max_len):
 
 def beam_search(step_fn, max_len, beam_width):
     """Standard beam search; finished hypotheses retire to a pool."""
-    beams = [Hypothesis((), 0.0)]
-    finished = []
+    def rank(hyp):  # cut and pick: higher log-prob first, then smaller ids
+        return -hyp.log_prob, hyp.ids
+    beams, finished = [Hypothesis((), 0.0)], []
     for _ in range(max_len):
         candidates = []
         for hyp, dist in zip(beams, step_fn([hyp.ids for hyp in beams])):
@@ -117,14 +118,13 @@ def beam_search(step_fn, max_len, beam_width):
                 lp = hyp.log_prob + math.log(max(float(dist[nxt]),
                                                  LOG_FLOOR))
                 candidates.append(Hypothesis(hyp.ids + (nxt,), lp))
-        candidates.sort(key=lambda h: (-h.log_prob, h.ids))
+        candidates.sort(key=rank)
         beams = []
         for hyp in candidates[:beam_width]:
             (finished if hyp.ids[-1] == EOS else beams).append(hyp)
         if not beams:
             break
-    pool = finished if finished else beams
-    return max(pool, key=lambda h: (h.log_prob, tuple(-i for i in h.ids)))
+    return min(finished or beams, key=rank)
 
 
 def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,

@@ -2,7 +2,8 @@
 
 Every op computes its forward result eagerly in numpy and registers a
 backward closure on the active tape. The set is deliberately small: just
-what a decoder-only transformer with a pointer head needs.
+what a decoder-only transformer with a pointer head needs. `matmul`,
+`transpose` and `mean_all` remain only for the benchmark's tracer test.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ def add(a, b):
 
     def bwd(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return make_output(out, (a, b), bwd)
-
-
-def mul(a, b):
-    out = a.data * b.data
-
-    def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
 
     return make_output(out, (a, b), bwd)
 
@@ -125,16 +116,6 @@ def _softmax_grad(g, out):
     """Gradient through a softmax over the last axis, given its output."""
     dot = (g * out).sum(axis=-1, keepdims=True)
     return (g - dot) * out
-
-
-def softmax_rows(x):
-    """Row-wise softmax with max subtraction; rows sum to 1."""
-    out = _softmax(x.data)
-
-    def bwd(g):
-        return (_softmax_grad(g, out),)
-
-    return make_output(out, (x,), bwd)
 
 
 def layer_norm(x, gain, bias):
@@ -309,15 +290,6 @@ def nll(probs, targets, weights):
         return (gp,)
 
     return make_output(out, (probs,), bwd)
-
-
-def sum_all(x):
-    out = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def bwd(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.dtype, copy=True),)
-
-    return make_output(out, (x,), bwd)
 
 
 def mean_all(x):

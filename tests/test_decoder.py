@@ -86,6 +86,32 @@ class TestBeamOnTabularModel:
         assert beam.log_prob == pytest.approx(greedy.log_prob)
 
 
+# every hypothesis below that ends in EOS has probability 1/4
+TIED = {
+    (): [0.0, 0.0, 0.0, 0.0, 0.5, 0.5],
+    (4,): [0.0, 0.0, 0.0, 0.5, 0.0, 0.5],
+    (5,): [0.0, 0.0, 0.0, 0.5, 0.5, 0.0],
+}
+
+
+class TestBeamTies:
+    def test_smaller_ids_win_the_cut_and_the_pick(self):
+        # step 2 ranks four candidates at 1/4: (4, EOS) and (4, 5) must
+        # survive the cut of 2, not (5, EOS) and (5, 4); then (4, EOS)
+        # must beat the finished (4, 5, EOS), also at 1/4
+        calls = []
+
+        def step_fn(prefixes):
+            calls.append([tuple(p) for p in prefixes])
+            return np.stack([np.asarray(TIED.get(tuple(p), np.eye(6)[EOS]))
+                             for p in prefixes])
+
+        best = beam_search(step_fn, 3, beam_width=2)
+        assert calls == [[()], [(4,), (5,)], [(4, 5)]]
+        assert best.ids == (4, EOS)
+        assert best.log_prob == 2 * math.log(0.5)
+
+
 class TestBeamOnRandomModels:
     def make_model(self, seed):
         cfg = tiny_config(seed=seed)

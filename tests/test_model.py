@@ -15,6 +15,7 @@ from pointer_gpt.model import (
 from pointer_gpt.tensor import (ContractError, Tape, Tensor, backward,
                                 make_output)
 from pointer_gpt.tokenizer import EOS, SEP, UNK, EncodedExample
+from reference_ops import mul, softmax_rows, sum_all
 
 
 def tiny_config(**overrides):
@@ -265,7 +266,7 @@ class TestBatchedAttention:
         mask = _causal_mask(self.T, x.dtype)
         with Tape() as tape:
             out = _attention(params, "attn.", xt, cfg, mask)
-            loss = ops.sum_all(ops.mul(out, Tensor(r)))
+            loss = sum_all(mul(out, Tensor(r)))
         grads = backward(tape, loss)
         named = {n[len("attn."):]: grads[t] for n, t in params.items()}
         return out.data, grads[xt], named
@@ -330,7 +331,7 @@ def op_chain_attention(q, k, v, mask, n_heads):
     qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     scores = affine(ops.matmul(qh, ops.transpose(kh)), scale)
-    attn = ops.softmax_rows(ops.add(scores, Tensor(mask)))
+    attn = softmax_rows(ops.add(scores, Tensor(mask)))
     return merge_heads(ops.matmul(attn, vh))
 
 
@@ -382,26 +383,26 @@ def clamped_log(x):
 
 def op_chain_nll(probs, targets, weights):
     picked = gather_cols(probs, np.asarray(targets))
-    return affine(ops.sum_all(ops.mul(clamped_log(picked),
-                                      Tensor(weights[..., None]))), -1.0)
+    return affine(sum_all(mul(clamped_log(picked),
+                              Tensor(weights[..., None]))), -1.0)
 
 
 def op_chain_pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask,
                              ext_ids, width):
     scores = ops.matmul(ops.matmul(h_t, w_ptr), ops.transpose(h_src))
-    attn = ops.softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
-                                                   dtype=h_src.dtype)))
+    attn = softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
+                                               dtype=h_src.dtype)))
     context = ops.matmul(attn, h_src)
-    vocab_dist = ops.softmax_rows(ops.matmul(h_t, w_vocab))
+    vocab_dist = softmax_rows(ops.matmul(h_t, w_vocab))
     if gate is None:
         p_gen = Tensor(np.ones(h_t.shape[:-1] + (1,)), dtype=h_t.dtype)
     else:
         w_h, b, w_c = gate
         p_gen = sigmoid(ops.add(ops.linear(h_t, w_h, b),
                                 ops.matmul(context, w_c)))
-    copy_weights = ops.mul(affine(p_gen, -1.0, 1.0), attn)
-    mixed = op_chain_scatter_add_cols(ops.mul(p_gen, vocab_dist),
-                                      copy_weights, ext_ids, width)
+    copy_weights = mul(affine(p_gen, -1.0, 1.0), attn)
+    mixed = op_chain_scatter_add_cols(mul(p_gen, vocab_dist), copy_weights,
+                                      ext_ids, width)
     return mixed, attn.data, p_gen.data
 
 
