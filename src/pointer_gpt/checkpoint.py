@@ -63,15 +63,14 @@ def save_checkpoint(params, config, path):
         raise
 
 
-def _manifest_error(path, manifest, expected):
-    """CheckpointError naming the first entry whose JSON text differs."""
+def _first_difference(manifest, expected):
+    """(index, stored, expected) JSON texts of the first differing entry of
+    two lists whose JSON texts differ (8.0 and true are not 8)."""
     for i in range(max(len(manifest), len(expected))):
         stored, want = (json.dumps(m[i], sort_keys=True) if i < len(m)
                         else "nothing" for m in (manifest, expected))
         if stored != want:
-            break
-    return CheckpointError("%s: manifest entry %d: stored %s, expected %s"
-                           % (path, i, stored, want))
+            return i, stored, want
 
 
 def load_checkpoint(path):
@@ -106,10 +105,11 @@ def load_checkpoint(path):
 
     expected, total = build_manifest((name, shape) for name, (shape, _)
                                      in param_specs(config).items())
-    # == takes 8.0 and true for 8; the JSON types must be integers too
-    if manifest != expected or any(type(n) is not int for e in manifest
-                                   for n in [e["offset"], *e["shape"]]):
-        raise _manifest_error(path, manifest, expected)
+    if (json.dumps(manifest, sort_keys=True)
+            != json.dumps(expected, sort_keys=True)):
+        raise CheckpointError(
+            "%s: manifest entry %d: stored %s, expected %s"
+            % (path, *_first_difference(manifest, expected)))
     if len(raw) - header_end != total:
         raise CheckpointError("%s: payload has %d bytes, expected %d"
                               % (path, len(raw) - header_end, total))

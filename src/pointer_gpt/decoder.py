@@ -58,7 +58,6 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     h_src = Tensor(hidden[:, :-1])
     ext_ids = np.asarray([source_ext_ids], dtype=np.int64)
     col_mask = np.zeros(ext_ids.shape, dtype=hidden.dtype)
-    width = v + oov_count
     start = ([()], root, hidden[:, -1])
     state = start  # (live prefixes, per-layer (K, V), their last hiddens)
 
@@ -78,8 +77,8 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
             feed = [feed_ids(key[-1:], v) for key in keys]
             hidden = forward_hidden(params, feed, config, cache=cache).data
             state = (keys, cache, hidden[:, -1])
-        _, _, mixed = pointer_head(params, h_src, Tensor(state[2][None]),
-                                   ext_ids, col_mask, width, config)
+        mixed, _, _ = pointer_head(params, h_src, Tensor(state[2][None]),
+                                   ext_ids, col_mask, oov_count, config)
         return mixed.data[0]
 
     return step_fn

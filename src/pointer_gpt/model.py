@@ -40,21 +40,20 @@ class ModelConfig:
     baseline: bool = False  # gate frozen at p_gen = 1 (no copying)
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_heads", "n_layers", "d_ff",
-                     "max_seq_len", "seed"):
-            if type(getattr(self, name)) is not int:  # bool subclasses int
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, getattr(self, name)))
-        if type(self.baseline) is not bool:
-            raise ValueError("baseline must be true or false, got %r"
-                             % (self.baseline,))
         # every special token needs an embedding row; SEP is fed on every input
         for name, low in (("vocab_size", len(SPECIAL_TOKENS)), ("d_model", 1),
                           ("n_heads", 1), ("n_layers", 1), ("d_ff", 1),
-                          ("max_seq_len", 8)):
-            if getattr(self, name) < low:
+                          ("max_seq_len", 8), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool subclasses int
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
+            if value < low:
                 raise ValueError("%s must be at least %d, got %r"
-                                 % (name, low, getattr(self, name)))
+                                 % (name, low, value))
+        if type(self.baseline) is not bool:
+            raise ValueError("baseline must be true or false, got %r"
+                             % (self.baseline,))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -111,13 +110,13 @@ def init_params(config, dtype=np.float32):
     return params
 
 
-def _causal_mask(t_len, dtype, t_past=0):
+def _causal_mask(t_len, dtype, t_past):
     """[t_len, t_past + t_len]: new row i sees keys up to t_past + i."""
     return np.triu(np.full((t_len, t_past + t_len), NEG_INF, dtype=dtype),
                    k=t_past + 1)
 
 
-def _attention(params, prefix, x, config, mask, cache=None, layer=0):
+def _attention(params, prefix, x, config, mask, cache, layer):
     """Causal self-attention with every head in one op."""
     q, k, v = (ops.linear(x, params[prefix + "w" + n],
                           params[prefix + "b" + n]) for n in "qkv")
@@ -171,47 +170,36 @@ def forward_hidden(params, input_ids, config, rng=None, cache=None):
     return ops.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 
-@dataclass
-class PointerOutput:
-    """One generation step: copy attention, gate, mixed distribution."""
-
-    attn: np.ndarray     # over source positions, sums to 1
-    p_gen: float         # in [0, 1]
-    mixed: np.ndarray    # over extended vocab V + |oov|, sums to 1
-
-
-def pointer_head(params, h_src, h_t, ext_ids, col_mask, width, config):
-    """Batched pointer head: (attn, p_gen) arrays and the mixed Tensor.
+def pointer_head(params, h_src, h_t, ext_ids, col_mask, oov_count, config):
+    """Batched pointer head: `ops.pointer_mixture`'s (mixed Tensor, attn,
+    p_gen) over the extended vocab, vocab_size + oov_count wide.
 
     h_src [B, S, d] are the final-layer states at the source positions (the
     encoder side); each row of h_t [B, N, d] is the state at a position whose
     next token is being predicted (the decoder side). Callers build the
     source arrays once per batch or document: ext_ids [B, S], the
     right-padded extended ids; col_mask [B, S], 0 on a source position and
-    NEG_INF on padding, in h_src's dtype; width, vocab_size + OOV count.
+    NEG_INF on padding, in h_src's dtype.
     """
     gate = None if config.baseline else tuple(
         params["gate." + name] for name in ("w_h", "b", "w_c"))
-    mixed, attn, p_gen = ops.pointer_mixture(
-        h_src, h_t, params["ptr.w"], params["w_vocab"], gate, col_mask,
-        ext_ids, width)
-    return attn, p_gen, mixed
+    return ops.pointer_mixture(h_src, h_t, params["ptr.w"], params["w_vocab"],
+                               gate, col_mask, ext_ids,
+                               config.vocab_size + oov_count)
 
 
-def pointer_step(params, hidden, step, source_len, source_ext_ids,
-                 oov_count, config):
-    """Pointer head at one position of hidden [T, d]; generation requires
-    step >= source_len."""
-    if step < source_len:
+def pointer_step(params, hidden, step, source_ext_ids, oov_count, config):
+    """(mixed [V + oov_count], attn [S], p_gen float) at one position of
+    hidden [T, d]; generation requires step >= S = len(source_ext_ids)."""
+    s = len(source_ext_ids)
+    if step < s:
         raise ContractError("pointer_step at %d precedes end of source %d"
-                            % (step, source_len))
-    attn, p_gen, mixed = pointer_head(
-        params, ops.take_rows(hidden, [np.arange(source_len)]),
+                            % (step, s))
+    mixed, attn, p_gen = pointer_head(
+        params, ops.take_rows(hidden, [np.arange(s)]),
         ops.take_rows(hidden, [[step]]), [source_ext_ids],
-        np.zeros((1, source_len), dtype=hidden.dtype),
-        config.vocab_size + oov_count, config)
-    return PointerOutput(attn=attn[0, 0].copy(), p_gen=float(p_gen[0, 0, 0]),
-                         mixed=mixed.data[0, 0].copy())
+        np.zeros((1, s), dtype=hidden.dtype), oov_count, config)
+    return mixed.data[0, 0], attn[0, 0], float(p_gen[0, 0, 0])
 
 
 def positions_needed(source_len, summary_len):
@@ -258,12 +246,12 @@ def sequence_loss(params, examples, config, rng=None):
     hidden = forward_hidden(params, ids, config, rng=rng)
     steps = np.arange(n)
     real = steps < tgt[:, None]
-    _, _, mixed = pointer_head(
+    mixed, _, _ = pointer_head(
         params, ops.take_rows(hidden, np.broadcast_to(np.arange(s), (b, s))),
         ops.take_rows(hidden, np.where(real, src[:, None] + steps, 0)),
         ext_ids, np.where(np.arange(s) < src[:, None], 0.0,
                           NEG_INF).astype(hidden.dtype),
-        config.vocab_size + max(len(ex.oov) for ex in examples), config)
+        max(len(ex.oov) for ex in examples), config)
     # example b's n_b steps weigh 1 / (B * n_b) each; padded steps 0
     weights = (np.asarray(real, dtype=hidden.dtype)
                / np.asarray(b * tgt, dtype=hidden.dtype)[:, None])

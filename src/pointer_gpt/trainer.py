@@ -44,6 +44,8 @@ class TrainConfig:
         if not (math.isfinite(self.max_grad_norm) and self.max_grad_norm > 0):
             raise ValueError("max_grad_norm must be positive and finite, "
                              "got %r" % self.max_grad_norm)
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0, got %r" % self.seed)
 
 
 @dataclass

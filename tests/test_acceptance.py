@@ -108,10 +108,10 @@ def test_criterion_3_mixture_normalization():
         for k in range(min(oov_count, s)):
             ext[k] = v + k
         hidden = forward_hidden(params, src + [SEP], cfg)
-        out = pointer_step(params, hidden, s, s, ext, oov_count, cfg)
-        assert out.mixed.sum() == pytest.approx(1.0, abs=1e-6)
-        assert (out.mixed >= 0).all()
-        assert out.mixed[v:].sum() <= (1.0 - out.p_gen) + 1e-6
+        mixed, _, p_gen = pointer_step(params, hidden, s, ext, oov_count, cfg)
+        assert mixed.sum() == pytest.approx(1.0, abs=1e-6)
+        assert (mixed >= 0).all()
+        assert mixed[v:].sum() <= (1.0 - p_gen) + 1e-6
 
 
 GRADCHECK_CFG = dict(vocab_size=20, d_model=16, n_heads=2, n_layers=2,
@@ -156,14 +156,14 @@ def test_criterion_5_causality():
         src = list(rng.integers(5, cfg.vocab_size, size=4))
         ids = src + [SEP, 7, 8]
         t = len(src) + 1
-        base = pointer_step(params, forward_hidden(params, ids, cfg), t,
-                            len(src), src, 0, cfg)
+        base_mixed, _, base_p_gen = pointer_step(
+            params, forward_hidden(params, ids, cfg), t, src, 0, cfg)
         changed = list(ids)
         changed[-1] = (changed[-1] + 3) % (cfg.vocab_size - 5) + 5
-        after = pointer_step(params, forward_hidden(params, changed, cfg), t,
-                             len(src), src, 0, cfg)
-        assert np.abs(after.mixed - base.mixed).max() <= 1e-6
-        assert abs(after.p_gen - base.p_gen) <= 1e-6
+        after_mixed, _, after_p_gen = pointer_step(
+            params, forward_hidden(params, changed, cfg), t, src, 0, cfg)
+        assert np.abs(after_mixed - base_mixed).max() <= 1e-6
+        assert abs(after_p_gen - base_p_gen) <= 1e-6
 
 
 OVERFIT_SOURCE = "patient reports chronic sob and cough with mild fever ."

@@ -350,7 +350,9 @@ class TestCheckpoint:
         ({"n_heads": 2.0}, "n_heads must be an integer, got 2.0"),
         ({"vocab_size": 12.0}, "vocab_size must be an integer, got 12.0"),
         ({"baseline": "no"}, "baseline must be true or false, got 'no'"),
-    ], ids=["float-n_heads", "float-vocab_size", "string-baseline"])
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+    ], ids=["float-n_heads", "float-vocab_size", "string-baseline",
+            "negative-seed"])
     def test_cli_reports_mistyped_header_config_in_one_line(
             self, tmp_path, capsys, config, message):
         params, cfg = tiny_model()
@@ -507,6 +509,15 @@ class TestCliTrain:
               "--config", config_path, "--seed", "7"])
         assert (out_env / "model.ckpt").read_bytes() \
             == (out_flag / "model.ckpt").read_bytes()
+
+    def test_negative_seed_is_one_error_line(self, tmp_path, data_path,
+                                             config_path, capsys):
+        code = main(["train", "--data", data_path, "--out",
+                     str(tmp_path / "o"), "--config", config_path,
+                     "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be at least 0, got -1\n")
 
     def test_missing_required_arg_exits_2(self, data_path):
         with pytest.raises(SystemExit) as exc:
@@ -884,6 +895,15 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "GPT-baseline" in out and "PointerGPT" in out
         assert out.count("Rouge-1") == 2 and out.count("Rouge-2") == 2
+
+    def test_negative_env_seed_is_one_error_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        data = tmp_path / "copy.jsonl"
+        save_dataset(synthetic_copy_task(20, seed=2), str(data))
+        monkeypatch.setenv("POINTER_GPT_SEED", "-2")
+        assert main(["compare", "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be at least 0, got -2\n")
 
     @pytest.mark.parametrize("decode, message", [
         ({"beam_width": 0}, "beam_width must be >= 1"),

@@ -176,8 +176,9 @@ def full_prefix_step_fn(params, src, ext, oov_count, cfg):
         feed = [UNK if i >= cfg.vocab_size else i for i in emitted]
         ids = src + [SEP] + feed
         hidden = forward_hidden(params, ids, cfg)
-        return pointer_step(params, hidden, len(ids) - 1, len(src), ext,
-                            oov_count, cfg).mixed
+        mixed, _, _ = pointer_step(params, hidden, len(ids) - 1, ext,
+                                   oov_count, cfg)
+        return mixed
 
     return step_fn
 
@@ -256,7 +257,7 @@ class TestIncrementalDecoding:
 
     def test_mask_offset_off_by_one_is_caught(self, monkeypatch):
         # mutation control: with a cache, the new row no longer sees itself
-        def off_by_one(t_len, dtype, t_past=0):
+        def off_by_one(t_len, dtype, t_past):
             k = t_past if t_past else 1
             return np.triu(np.full((t_len, t_past + t_len), NEG_INF,
                                    dtype=dtype), k=k)

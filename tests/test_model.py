@@ -263,9 +263,9 @@ class TestBatchedAttention:
         xt = Tensor(x, requires_grad=True)
         params = {"attn." + n: Tensor(a, requires_grad=True)
                   for n, a in w.items()}
-        mask = _causal_mask(self.T, x.dtype)
+        mask = _causal_mask(self.T, x.dtype, 0)
         with Tape() as tape:
-            out = _attention(params, "attn.", xt, cfg, mask)
+            out = _attention(params, "attn.", xt, cfg, mask, None, 0)
             loss = sum_all(mul(out, Tensor(r)))
         grads = backward(tape, loss)
         named = {n[len("attn."):]: grads[t] for n, t in params.items()}
@@ -274,7 +274,7 @@ class TestBatchedAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_forward_float32(self, n_heads):
         x, w, r = self._inputs(np.float32)
-        mask = _causal_mask(self.T, np.float32)
+        mask = _causal_mask(self.T, np.float32, 0)
         want, _, _ = per_head_attention(x, w, n_heads, mask, r)
         got, _, _ = self._batched(x, w, n_heads, r)
         assert got.dtype == np.float32
@@ -283,7 +283,7 @@ class TestBatchedAttention:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_gradients_float64(self, n_heads):
         x, w, r = self._inputs(np.float64, seed=1)
-        mask = _causal_mask(self.T, np.float64)
+        mask = _causal_mask(self.T, np.float64, 0)
         _, want_dx, want = per_head_attention(x, w, n_heads, mask, r)
         _, got_dx, got = self._batched(x, w, n_heads, r)
         np.testing.assert_allclose(got_dx, want_dx, rtol=1e-6, atol=1e-12)
@@ -518,47 +518,53 @@ class TestPointerStep:
         self.params["gate.w_h"].data[:] = 0
         self.params["gate.w_c"].data[:] = 0
         self.params["gate.b"].data[:] = 20.0
-        out = pointer_step(self.params, self.hidden, self.s + 1, self.s,
-                           self.ext, 1, self.cfg)
-        assert out.p_gen > 1.0 - 1e-6
-        assert np.abs(out.mixed[self.cfg.vocab_size:]).max() < 1e-6
-        assert out.mixed.sum() == pytest.approx(1.0, abs=1e-6)
+        mixed, _, p_gen = pointer_step(self.params, self.hidden, self.s + 1,
+                                       self.ext, 1, self.cfg)
+        assert p_gen > 1.0 - 1e-6
+        assert np.abs(mixed[self.cfg.vocab_size:]).max() < 1e-6
+        assert mixed.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_gate_saturated_to_copy(self):
         self.params["gate.w_h"].data[:] = 0
         self.params["gate.w_c"].data[:] = 0
         self.params["gate.b"].data[:] = -20.0
-        out = pointer_step(self.params, self.hidden, self.s + 1, self.s,
-                           self.ext, 1, self.cfg)
-        assert out.p_gen < 1e-6
+        mixed, _, p_gen = pointer_step(self.params, self.hidden, self.s + 1,
+                                       self.ext, 1, self.cfg)
+        assert p_gen < 1e-6
         support = set(self.ext)
-        off_support = [w for w in range(len(out.mixed)) if w not in support]
-        assert np.abs(out.mixed[off_support]).max() < 1e-6
-        assert out.mixed[sorted(support)].sum() == pytest.approx(1.0,
-                                                                 abs=1e-6)
+        off_support = [w for w in range(len(mixed)) if w not in support]
+        assert np.abs(mixed[off_support]).max() < 1e-6
+        assert mixed[sorted(support)].sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_single_source_position(self):
         hidden = forward_hidden(self.params, [6, SEP, 7], self.cfg)
-        out = pointer_step(self.params, hidden, 2, 1, [6], 0, self.cfg)
-        np.testing.assert_allclose(out.attn, [1.0])
+        _, attn, _ = pointer_step(self.params, hidden, 2, [6], 0, self.cfg)
+        np.testing.assert_allclose(attn, [1.0])
+
+    def test_returns_mixed_attn_p_gen(self):
+        mixed, attn, p_gen = pointer_step(self.params, self.hidden,
+                                          self.s + 1, self.ext, 1, self.cfg)
+        assert mixed.shape == (self.cfg.vocab_size + 1,)
+        assert attn.shape == (self.s,)
+        assert type(p_gen) is float
 
     def test_step_before_source_end_rejected(self):
         with pytest.raises(ContractError):
-            pointer_step(self.params, self.hidden, self.s - 1, self.s,
-                         self.ext, 1, self.cfg)
+            pointer_step(self.params, self.hidden, self.s - 1, self.ext, 1,
+                         self.cfg)
 
     def test_inconsistent_oov_count_rejected(self):
         with pytest.raises(ContractError):
-            pointer_step(self.params, self.hidden, self.s + 1, self.s,
-                         self.ext, 0, self.cfg)
+            pointer_step(self.params, self.hidden, self.s + 1, self.ext, 0,
+                         self.cfg)
 
     def test_gate_monotone_in_bias(self):
         gates = []
         for b in (-1.0, 0.0, 1.0, 2.0):
             self.params["gate.b"].data[:] = b
-            out = pointer_step(self.params, self.hidden, self.s + 1, self.s,
-                               self.ext, 1, self.cfg)
-            gates.append(out.p_gen)
+            _, _, p_gen = pointer_step(self.params, self.hidden, self.s + 1,
+                                       self.ext, 1, self.cfg)
+            gates.append(p_gen)
         assert all(a < b for a, b in zip(gates, gates[1:]))
 
 
@@ -580,12 +586,13 @@ class TestMixtureInvariants:
             for k in range(min(oov_count, s)):
                 ext[k] = v + k
             hidden = forward_hidden(params, src + [SEP], cfg)
-            out = pointer_step(params, hidden, s, s, ext, oov_count, cfg)
-            assert out.mixed.sum() == pytest.approx(1.0, abs=1e-6)
-            assert (out.mixed >= 0).all()
-            assert 0.0 <= out.p_gen <= 1.0
-            copy_mass = out.mixed[v:].sum()
-            assert copy_mass <= (1.0 - out.p_gen) + 1e-6
+            mixed, _, p_gen = pointer_step(params, hidden, s, ext, oov_count,
+                                           cfg)
+            assert mixed.sum() == pytest.approx(1.0, abs=1e-6)
+            assert (mixed >= 0).all()
+            assert 0.0 <= p_gen <= 1.0
+            copy_mass = mixed[v:].sum()
+            assert copy_mass <= (1.0 - p_gen) + 1e-6
 
     def test_mixed_dominates_gen_component(self):
         cfg = tiny_config()
@@ -593,13 +600,12 @@ class TestMixtureInvariants:
         src, ext = TOY_EXAMPLE.source_ids, TOY_EXAMPLE.source_ext_ids
         s = len(src)
         hidden = forward_hidden(params, src + [SEP], cfg)
-        out = pointer_step(params, hidden, s, s, ext, 1, cfg)
+        mixed, _, p_gen = pointer_step(params, hidden, s, ext, 1, cfg)
         # vocab entries carry at least their generated share
         vocab_logits = hidden.data[s] @ params["w_vocab"].data
         e = np.exp(vocab_logits - vocab_logits.max())
         vocab_dist = e / e.sum()
-        assert (out.mixed[:cfg.vocab_size]
-                >= out.p_gen * vocab_dist - 1e-6).all()
+        assert (mixed[:cfg.vocab_size] >= p_gen * vocab_dist - 1e-6).all()
 
     def test_repeated_source_word_mass_accumulates(self):
         cfg = tiny_config()
@@ -607,12 +613,12 @@ class TestMixtureInvariants:
         src = [6, 7, 6, EOS]  # token 6 at positions 0 and 2
         s = len(src)
         hidden = forward_hidden(params, src + [SEP], cfg)
-        out = pointer_step(params, hidden, s, s, src, 0, cfg)
+        mixed, attn, p_gen = pointer_step(params, hidden, s, src, 0, cfg)
         vocab_logits = hidden.data[s] @ params["w_vocab"].data
         e = np.exp(vocab_logits - vocab_logits.max())
-        gen = out.p_gen * e[6] / e.sum()
-        copy = (1.0 - out.p_gen) * (out.attn[0] + out.attn[2])
-        assert out.mixed[6] == pytest.approx(gen + copy, abs=1e-6)
+        gen = p_gen * e[6] / e.sum()
+        copy = (1.0 - p_gen) * (attn[0] + attn[2])
+        assert mixed[6] == pytest.approx(gen + copy, abs=1e-6)
 
 
 class TestSequenceLoss:
@@ -801,11 +807,13 @@ class TestCausalityOfPointerOutputs:
             ids = src + [SEP, 7, 8]
             hidden = forward_hidden(params, ids, cfg)
             t = len(src) + 1  # predicting from the position after SEP
-            base = pointer_step(params, hidden, t, len(src), src, 0, cfg)
+            base_mixed, _, base_p_gen = pointer_step(params, hidden, t, src,
+                                                     0, cfg)
             # perturb a position strictly after t
             changed = list(ids)
             changed[-1] = (changed[-1] + 3) % (cfg.vocab_size - 5) + 5
             hidden2 = forward_hidden(params, changed, cfg)
-            after = pointer_step(params, hidden2, t, len(src), src, 0, cfg)
-            assert np.abs(after.mixed - base.mixed).max() <= 1e-6
-            assert abs(after.p_gen - base.p_gen) <= 1e-6
+            after_mixed, _, after_p_gen = pointer_step(params, hidden2, t, src,
+                                                       0, cfg)
+            assert np.abs(after_mixed - base_mixed).max() <= 1e-6
+            assert abs(after_p_gen - base_p_gen) <= 1e-6

@@ -1,9 +1,11 @@
-"""Every default of a public function in src is both used and overridden.
+"""Every default of a module-level function in src is both used and
+overridden.
 
 A default no call overrides is a constant in disguise; a default every call
 overrides is a second definition of the value the callers pass. Calls are
-matched by function name in src, bench, demos and tests, and a call that
-passes *args or **kwargs counts as setting every parameter.
+matched by function name in src, bench, demos and tests, or in src alone for
+a private function, which has no outside callers; a call that passes *args
+or **kwargs counts as setting every parameter.
 """
 
 import ast
@@ -35,14 +37,14 @@ def test_every_default_is_both_kept_and_overridden():
     functions = {}
     for path in SRC:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if (isinstance(node, ast.FunctionDef)
-                    and not node.name.startswith("_") and defaulted(node)):
+            if isinstance(node, ast.FunctionDef) and defaulted(node):
                 functions[node.name] = defaulted(node)
     kept, overridden = set(), set()
     for path in CALLERS:
         for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = isinstance(call, ast.Call) and call_name(call)
-            if name not in functions:
+            if name not in functions or (name.startswith("_")
+                                         and path not in SRC):
                 continue
             starred = any(isinstance(a, ast.Starred) for a in call.args)
             keywords = {k.arg for k in call.keywords}

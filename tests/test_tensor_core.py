@@ -797,7 +797,7 @@ def op_calls(dtype):
     def t(*shape):
         return Tensor(rng.normal(size=shape), dtype=dtype)
 
-    mask = _causal_mask(3, dtype)
+    mask = _causal_mask(3, dtype, 0)
     return [
         ("add", ops.add, (t(2, 4), t(4))),
         ("add", ops.add, (t(), t())),

@@ -28,6 +28,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs must be at least 1"):
             TrainConfig(epochs=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^seed must be at least 0, got -1$"):
+            TrainConfig(seed=-1)
+
     def test_empty_dataset_rejected(self, corpus):
         _, _, cfg = corpus
         with pytest.raises(ValueError):
