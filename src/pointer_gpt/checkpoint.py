@@ -1,10 +1,11 @@
 """Binary model checkpoints.
 
-Layout: magic "PGPT" | u32-LE format version | u32-LE header length |
+Layout: magic "PGPT" | u32-LE format version (2) | u32-LE header length |
 UTF-8 JSON header | payload. The header carries the model config and a
 named-tensor manifest (name, shape, byte offset into the payload); the
 payload is the tensors as 32-bit little-endian floats in manifest order.
-Round trips are bit-identical.
+Round trips are bit-identical. Version 1 headers held a config key the
+model no longer has, so they do not load.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import ModelConfig, param_specs
 from .tensor import Tensor
 
 MAGIC = b"PGPT"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -40,9 +41,17 @@ def build_manifest(shapes):
 
 
 def save_checkpoint(params, config, path):
-    """Atomic write: temp file in the target directory, then rename."""
-    manifest, _ = build_manifest((name, tensor.data.shape)
-                                 for name, tensor in params.items())
+    """Atomic write: temp file in the target directory, then rename. The
+    params must have `param_specs(config)`'s names, order and shapes, the
+    one manifest `load_checkpoint` accepts."""
+    shapes = [(name, shape) for name, (shape, _)
+              in param_specs(config).items()]
+    given = [(name, tensor.data.shape) for name, tensor in params.items()]
+    if given != shapes:
+        raise CheckpointError(
+            "params do not match the config: entry %d is %s, expected %s"
+            % _first_difference(given, shapes))
+    manifest, _ = build_manifest(shapes)
     header = json.dumps({"config": asdict(config),
                          "manifest": manifest}).encode("utf-8")
 

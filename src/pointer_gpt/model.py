@@ -35,7 +35,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ff: int = 128
     max_seq_len: int = 64
-    dropout_rate: float = 0.0
     seed: int = 0
     baseline: bool = False  # gate frozen at p_gen = 1 (no copying)
 
@@ -56,8 +55,6 @@ class ModelConfig:
                              % (self.baseline,))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         if self.n_layers > MAX_LAYERS:
             raise ValueError("n_layers must be at most %d, got %d"
                              % (MAX_LAYERS, self.n_layers))
@@ -129,9 +126,9 @@ def _attention(params, prefix, x, config, mask, cache, layer):
                       params[prefix + "wo"], params[prefix + "bo"])
 
 
-def forward_hidden(params, input_ids, config, rng=None, cache=None):
+def forward_hidden(params, input_ids, config, cache=None):
     """Hidden states [..., T, d_model] of ids [..., T]; hidden[..., t] depends
-    only on ids[..., :t + 1]. Dropout runs only when ``rng`` is given.
+    only on ids[..., :t + 1].
 
     ``cache`` (inference only; empty at first) is a list of per-layer (K, V)
     arrays [..., T_past, d_model]; the ids continue at position T_past."""
@@ -147,26 +144,21 @@ def forward_hidden(params, input_ids, config, rng=None, cache=None):
         raise ValueError("sequence length %d exceeds max_seq_len %d"
                          % (t_past + t_len, config.max_seq_len))
 
-    dtype = params["tok_emb"].dtype
-    drop = config.dropout_rate if rng is not None else 0.0
-
     x = ops.add(ops.take_rows(params["tok_emb"], ids),
                 ops.take_rows(params["pos_emb"], t_past + np.arange(t_len)))
-    mask = _causal_mask(t_len, dtype, t_past)
+    mask = _causal_mask(t_len, params["tok_emb"].dtype, t_past)
     for i in range(config.n_layers):
         p = "h%d." % i
         normed = ops.layer_norm(x, params[p + "ln1.gain"],
                                 params[p + "ln1.bias"])
-        a = _attention(params, p + "attn.", normed, config, mask, cache, i)
-        a = ops.dropout(a, drop, rng)
-        x = ops.add(x, a)
+        x = ops.add(x, _attention(params, p + "attn.", normed, config, mask,
+                                  cache, i))
         normed = ops.layer_norm(x, params[p + "ln2.gain"],
                                 params[p + "ln2.bias"])
         m = ops.gelu(ops.linear(normed, params[p + "mlp.w_in"],
                                 params[p + "mlp.b_in"]))
-        m = ops.linear(m, params[p + "mlp.w_out"], params[p + "mlp.b_out"])
-        m = ops.dropout(m, drop, rng)
-        x = ops.add(x, m)
+        x = ops.add(x, ops.linear(m, params[p + "mlp.w_out"],
+                                  params[p + "mlp.b_out"]))
     return ops.layer_norm(x, params["ln_f.gain"], params["ln_f.bias"])
 
 
@@ -221,10 +213,10 @@ def teacher_forced_ids(example, vocab_size):
             + feed_ids(example.target_ext_ids[:-1], vocab_size))
 
 
-def sequence_loss(params, examples, config, rng=None):
+def sequence_loss(params, examples, config):
     """Mean over the examples of each one's mean NLL of the mixed
     distribution over its summary prediction steps, from one right-padded
-    [B, T] forward; dropout runs only when ``rng`` is given."""
+    [B, T] forward."""
     b = len(examples)
     if b < 1:
         raise ContractError("sequence_loss needs at least one example")
@@ -243,7 +235,7 @@ def sequence_loss(params, examples, config, rng=None):
         targets[row, :tgt[row]] = ex.target_ext_ids
         ext_ids[row, :src[row]] = ex.source_ext_ids
     # the causal mask already keeps every real row off the right padding
-    hidden = forward_hidden(params, ids, config, rng=rng)
+    hidden = forward_hidden(params, ids, config)
     steps = np.arange(n)
     real = steps < tgt[:, None]
     mixed, _, _ = pointer_head(

@@ -301,16 +301,3 @@ def mean_all(x):
 
     return make_output(out, (x,), bwd)
 
-
-def dropout(x, rate, rng):
-    """Inverted dropout; identity when rate == 0."""
-    if rate <= 0.0:
-        return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.dtype)
-    scale = 1.0 / (1.0 - rate)
-    out = x.data * keep * scale
-
-    def bwd(g):
-        return (g * keep * scale,)
-
-    return make_output(out, (x,), bwd)

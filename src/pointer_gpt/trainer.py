@@ -13,7 +13,7 @@ from .tensor import Tape, backward
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss)."""
+    """Training aborted (non-finite loss or weight)."""
 
 
 @dataclass
@@ -35,8 +35,9 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError("%s must be in [0, 1), got %r"
                                  % (name, getattr(self, name)))
-        if not self.eps > 0:
-            raise ValueError("eps must be positive, got %r" % self.eps)
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError("eps must be positive and finite, got %r"
+                             % self.eps)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -61,7 +62,6 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     if not dataset:
         raise ValueError("dataset must be nonempty")
     rng = np.random.default_rng(tcfg.seed)
-    drop_rng = np.random.default_rng(tcfg.seed + 1)
     tensors = list(params.values())
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
                for p in tensors]
@@ -75,8 +75,7 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                 batch = order[lo:lo + tcfg.batch_size]
                 with Tape() as tape:
                     batch_loss = sequence_loss(
-                        params, [dataset[i] for i in batch], mcfg,
-                        rng=drop_rng)
+                        params, [dataset[i] for i in batch], mcfg)
                 value = float(batch_loss.data)
                 if not np.isfinite(value):
                     raise TrainingError(
@@ -95,4 +94,8 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     finally:
         if log:
             log.close()
+    # an Adam step can overflow float32 after the last loss was checked
+    if not all(np.isfinite(p.data).all() for p in tensors):
+        raise TrainingError("training left a NaN or inf weight after step %d"
+                            % step)
     return report

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ class TestCheckpoint:
                            "expected %d" % (total - 10, total)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mismatch", ["sorted-names", "other-vocab_size"])
+    def test_save_rejects_params_that_do_not_match_the_config(
+            self, tmp_path, mismatch):
+        # either file used to save fine and then fail to load
+        params, cfg = tiny_model()
+        if mismatch == "sorted-names":
+            params = dict(sorted(params.items()))
+        else:
+            params = init_params(dataclasses.replace(cfg, vocab_size=13))
+        with pytest.raises(CheckpointError, match="params do not match the "
+                           "config: entry 0 is "):
+            save_checkpoint(params, cfg, str(tmp_path / "m.ckpt"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_unsupported_version(self, tmp_path):
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
@@ -363,6 +378,20 @@ class TestCheckpoint:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert len(err.splitlines()) == 1
+
+    def test_version_1_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        # version 1 headers held dropout_rate, which ModelConfig lacks now
+        params, cfg = tiny_model()
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(params, cfg, path)
+        self._rewrite(path, config={"dropout_rate": 0.0})
+        blob = bytearray(open(path, "rb").read())
+        blob[4:8] = struct.pack("<I", 1)
+        open(path, "wb").write(bytes(blob))
+        code, err = self._summarize(path, tmp_path, capsys)
+        assert code == 1
+        assert err == ("error: checkpoint format version 1 is not supported "
+                       "(expected %d)\n" % VERSION)
 
     # the model both property tests run `summarize` on
     PROPERTY_CFG = ModelConfig(vocab_size=12, d_model=8, n_heads=2,
@@ -537,8 +566,9 @@ class TestCliTrain:
         ({"model": {"n_layers": True}}, "model"),
         ({"model": {"seed": 1}}, "model"),
         ({"modle": {"d_model": 8}}, "modle"),
+        ({"model": {"dropout_rate": 0.0}}, "model"),  # the model has none
     ], ids=["unknown-key", "not-an-object", "wrong-type", "bool-for-int",
-            "cli-owned-key", "unknown-section"])
+            "cli-owned-key", "unknown-section", "dropout_rate"])
     def test_bad_config_is_one_error_line(self, tmp_path, data_path, capsys,
                                           bad, section):
         config = tmp_path / "bad.json"
@@ -573,6 +603,7 @@ class TestCliTrain:
         ("beta2", 1.0, "beta2 must be in [0, 1)"),
         ("eps", -1.0, "eps must be positive"),
         ("eps", 0.0, "eps must be positive"),
+        ("eps", float("inf"), "eps must be positive and finite, got inf"),
         ("lr", float("nan"), "lr must be positive and finite"),
         ("lr", float("inf"), "lr must be positive and finite"),
         ("max_grad_norm", float("inf"), "max_grad_norm must be positive"),
@@ -588,6 +619,21 @@ class TestCliTrain:
         assert code == 1
         assert err.startswith("error: " + message)
         assert len(err.splitlines()) == 1
+        assert not (out / "model.ckpt").exists()
+
+    def test_overflowing_last_step_writes_no_checkpoint(self, tmp_path,
+                                                        capsys):
+        # the one Adam step overflows float32 and no later loss sees it
+        data = tmp_path / "data.jsonl"
+        save_dataset(RECORDS[:1], str(data))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"lr": 1e39, "epochs": 1}}))
+        out = tmp_path / "o"
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: training left a NaN or inf weight after step 1\n")
         assert not (out / "model.ckpt").exists()
 
     @pytest.mark.parametrize("min_freq", [0, -3])
@@ -948,3 +994,14 @@ class TestDeeplyNestedJson:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def test_readme_config_block_lists_the_config_file_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"`--config` JSON may set.*?```json\n(.*?)```", readme,
+                      re.S).group(1)
+    assert json.loads(block) == {
+        name: {key: value for key, value in defaults.items()
+               if key not in cli_keys}
+        for name, (defaults, cli_keys) in CONFIG_SECTIONS.items()}

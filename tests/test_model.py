@@ -779,24 +779,6 @@ class TestBatchedSequenceLoss:
             sequence_loss(init_params(cfg), [], cfg)
 
 
-class TestDropout:
-    def test_masks_differ_across_calls_with_shared_rng(self):
-        cfg = tiny_config(dropout_rate=0.5)
-        params = init_params(cfg)
-        rng = np.random.default_rng(0)
-        losses = [float(sequence_loss(params, [TOY_EXAMPLE], cfg,
-                                      rng=rng).data)
-                  for _ in range(3)]
-        assert len(set(losses)) == 3
-
-    def test_no_rng_equals_zero_rate(self):
-        params = init_params(tiny_config())
-        plain = sequence_loss(params, [TOY_EXAMPLE], tiny_config()).data
-        no_rng = sequence_loss(params, [TOY_EXAMPLE],
-                               tiny_config(dropout_rate=0.5)).data
-        assert np.array_equal(plain, no_rng)
-
-
 class TestCausalityOfPointerOutputs:
     def test_twenty_seeded_cases(self):
         rng = np.random.default_rng(77)

@@ -821,8 +821,6 @@ def op_calls(dtype):
         ("nll", lambda p: ops.nll(p, [1, 3], [1.0, 0.5]),
          (Tensor(np.full((2, 4), 0.25), dtype=dtype),)),
         ("mean_all", ops.mean_all, (t(2, 4),)),
-        ("dropout", lambda x: ops.dropout(x, 0.5, np.random.default_rng(1)),
-         (t(2, 4),)),
     ]
 
 
