@@ -25,12 +25,23 @@ class DecodeConfig:
     MAX_BEAM_WIDTH = 64  # a beam step runs beam_width prefixes as one batch
 
     def __post_init__(self):
-        if self.max_summary_len < 1:
-            raise ValueError("max_summary_len must be >= 1")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+        for name in ("max_summary_len", "beam_width"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool subclasses int
+                raise ValueError("%s must be an integer, got %r"
+                                 % (name, value))
+            if value < 1:
+                raise ValueError("%s must be at least 1, got %r"
+                                 % (name, value))
         if self.beam_width > self.MAX_BEAM_WIDTH:
             raise ValueError("beam_width must be <= %d" % self.MAX_BEAM_WIDTH)
+
+
+# The most log-prob one step can add: a float32 mixture probability can
+# round above 1 (the copy mass summed over S source positions, by about
+# S * 2**-24). 1e-3 is far above that at any practical S and far below
+# the gaps at which searches stop, so it costs no steps.
+STEP_GAIN_BOUND = 1e-3
 
 
 @dataclass
@@ -106,11 +117,19 @@ def greedy_search(step_fn, max_len):
 
 
 def beam_search(step_fn, max_len, beam_width):
-    """Standard beam search; finished hypotheses retire to a pool."""
+    """Standard beam search; finished hypotheses retire to a pool.
+
+    The search stops early once its result is fixed: when the best
+    finished hypothesis scores strictly above every live beam's log-prob
+    plus STEP_GAIN_BOUND per remaining step. A step adds log p, which is
+    <= 0 up to float rounding, so no descendant of a live beam can then
+    reach the finished one, and the result equals that of running all
+    max_len steps. The comparison is strict because on a tie a descendant
+    with smaller ids would win."""
     def rank(hyp):  # cut and pick: higher log-prob first, then smaller ids
         return -hyp.log_prob, hyp.ids
     beams, finished = [Hypothesis((), 0.0)], []
-    for _ in range(max_len):
+    for step in range(1, max_len + 1):
         candidates = []
         for hyp, dist in zip(beams, step_fn([hyp.ids for hyp in beams])):
             for nxt in np.argsort(-dist, kind="stable")[:beam_width].tolist():
@@ -122,6 +141,10 @@ def beam_search(step_fn, max_len, beam_width):
         for hyp in candidates[:beam_width]:
             (finished if hyp.ids[-1] == EOS else beams).append(hyp)
         if not beams:
+            break
+        # beams[0] is the best live beam: candidates were sorted by rank
+        if finished and max(hyp.log_prob for hyp in finished) > (
+                beams[0].log_prob + (max_len - step) * STEP_GAIN_BOUND):
             break
     return min(finished or beams, key=rank)
 

@@ -122,14 +122,16 @@ GRADCHECK_EXAMPLE = EncodedExample(source_ids=[6, 7, 1, 8, EOS],
                                    target_ext_ids=[7, 20, 9, EOS])
 
 
-def _full_model_gradcheck():
+def _model_gradcheck(names=None):
+    """Gradcheck of the loss over the named params (all of them if None)."""
     cfg = ModelConfig(**GRADCHECK_CFG)
     params = init_params(cfg, dtype=np.longdouble)
 
     def f(*tensors):
         return sequence_loss(params, [GRADCHECK_EXAMPLE], cfg)
 
-    return gradcheck(f, params.values(), h=np.longdouble(1e-6))
+    tensors = params.values() if names is None else [params[n] for n in names]
+    return gradcheck(f, tensors, h=np.longdouble(1e-6))
 
 
 def test_criterion_4_gradient_correctness(monkeypatch):
@@ -139,12 +141,14 @@ def test_criterion_4_gradient_correctness(monkeypatch):
     differences bottom out near 1e-4 relative error on this model's
     smallest gradient entries, which would mask nothing and fail everything.
     """
-    assert _full_model_gradcheck() < 1e-6
+    assert _model_gradcheck() < 1e-6
 
     true_grad = ops._gelu_grad
     monkeypatch.setattr(ops, "_gelu_grad",
                         lambda xd, t: 1.05 * true_grad(xd, t))
-    assert _full_model_gradcheck() > 1e-2
+    # the error over a subset is at most the error over all params, so a
+    # subset above 1e-2 decides the control: tok_emb's 320 elements suffice
+    assert _model_gradcheck(["tok_emb"]) > 1e-2
 
 
 def test_criterion_5_causality():

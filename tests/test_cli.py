@@ -804,9 +804,10 @@ class TestCliSummarize:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--beam", "0"], "beam_width must be >= 1"),
-        (["--beam", "-3"], "beam_width must be >= 1"),
-        (["--max-len", "0"], "max_summary_len must be >= 1"),
+        (["--beam", "0"], "beam_width must be at least 1, got 0"),
+        (["--beam", "-3"], "beam_width must be at least 1, got -3"),
+        (["--max-len", "0"],
+         "max_summary_len must be at least 1, got 0"),
     ])
     def test_bad_decode_setting_is_one_error_line(self, trained, tmp_path,
                                                   capsys, flags, message):
@@ -952,8 +953,9 @@ class TestCompare:
             "error: seed must be at least 0, got -2\n")
 
     @pytest.mark.parametrize("decode, message", [
-        ({"beam_width": 0}, "beam_width must be >= 1"),
-        ({"max_summary_len": 0}, "max_summary_len must be >= 1"),
+        ({"beam_width": 0}, "beam_width must be at least 1, got 0"),
+        ({"max_summary_len": 0},
+         "max_summary_len must be at least 1, got 0"),
         ({"beam_width": 65}, "beam_width must be <= 64"),
     ])
     def test_bad_decode_setting_fails_before_training(

@@ -7,9 +7,10 @@ import pytest
 
 from pointer_gpt.decoder import (
     DecodeConfig, beam_search, greedy_decode, greedy_search,
-    make_step_fn,
+    make_step_fn, max_steps_within,
 )
 from pointer_gpt import decoder, model
+import reference_search
 from pointer_gpt.model import (NEG_INF, ModelConfig, forward_hidden,
                                init_params, pointer_step)
 from pointer_gpt.tensor import ContractError
@@ -22,6 +23,30 @@ def tiny_config(seed=0, v=20):
 
 
 # --- tabular model: a hand-built step function -------------------------
+
+def sparse_step_fn(rows, default):
+    """Batched step_fn over {prefix: {id: p}}; unlisted prefixes get the
+    `default` row."""
+    def step_fn(prefixes):
+        out = np.zeros((len(prefixes), 6))
+        for r, prefix in enumerate(prefixes):
+            for i, p in rows.get(tuple(prefix), default).items():
+                out[r, i] = p
+        return out
+
+    return step_fn
+
+
+def counted(step_fn):
+    """step_fn and the list of its calls' prefix counts."""
+    calls = []
+
+    def fn(prefixes):
+        calls.append(len(prefixes))
+        return step_fn(prefixes)
+
+    return fn, calls
+
 
 TABLE = {
     (): [0.01, 0.01, 0.01, 0.01, 0.46, 0.50],
@@ -183,8 +208,11 @@ def full_prefix_step_fn(params, src, ext, oov_count, cfg):
     return step_fn
 
 
+# the mutation controls below query the cache through the full-length
+# search: an early stop would leave the later steps, where a wrong cache
+# shows, unasked
 SEARCHES = (lambda fn: greedy_search(fn, 6),
-            lambda fn: beam_search(fn, 6, beam_width=4))
+            lambda fn: reference_search.beam_search(fn, 6, beam_width=4))
 
 
 def cached_mismatches(seeds):
@@ -227,8 +255,8 @@ def walked_step_fn(params, src, ext, oov_count, cfg):
 
 def batch_mismatches(seeds):
     """(seed, oov_count) cases where one step_fn call over the k prefixes
-    beam-4 asks for departs by more than 1e-6 from one single-prefix walk
-    per prefix, or where the beam-4 ids differ."""
+    a full-length beam-4 search asks for departs by more than 1e-6 from one
+    single-prefix walk per prefix, or where the beam-4 ids differ."""
     bad = []
     for seed in seeds:
         params, src, oov_ext, cfg = criterion_9_model(seed)
@@ -244,9 +272,10 @@ def batch_mismatches(seeds):
                 worst = max(worst, np.abs(dists - rows).max())
                 return rows
 
-            ids = beam_search(both, 6, beam_width=4).ids
+            search = reference_search.beam_search
+            ids = search(both, 6, beam_width=4).ids
             fresh = make_step_fn(params, src, ext, oov_count, cfg)
-            if worst > 1e-6 or beam_search(fresh, 6, beam_width=4).ids != ids:
+            if worst > 1e-6 or search(fresh, 6, beam_width=4).ids != ids:
                 bad.append((seed, oov_count))
     return bad
 
@@ -328,6 +357,86 @@ class TestIncrementalDecoding:
             np.testing.assert_array_equal(step_fn([()]), fresh()([()]))
 
 
+def same_as_full_length(make_step_fn, max_len, k):
+    """Assert that beam_search returns the full-length search's ids and
+    log-prob, bit for bit, in no more step_fn calls; return both counts."""
+    early, early_calls = counted(make_step_fn())
+    full, full_calls = counted(make_step_fn())
+    got = beam_search(early, max_len, k)
+    want = reference_search.beam_search(full, max_len, k)
+    assert (got.ids, got.log_prob) == (want.ids, want.log_prob)
+    assert len(early_calls) <= len(full_calls)
+    return np.array([len(early_calls), len(full_calls)])
+
+
+class TestEarlyStop:
+    def test_same_result_as_full_length_search_on_criterion_9_models(self):
+        calls = 0
+        for seed in range(20):
+            params, src, oov_ext, cfg = criterion_9_model(seed)
+            for ext, oov_count in ((src, 0), (oov_ext, 1)):
+                for k in (2, 4):
+                    calls += same_as_full_length(
+                        lambda: make_step_fn(params, src, ext, oov_count,
+                                             cfg), 6, k)
+        assert calls[0] < calls[1]  # the stop fires on these models
+
+    def test_same_result_on_mixed_source_lengths(self):
+        calls = 0
+        for seed in range(20):
+            cfg = ModelConfig(vocab_size=20, d_model=16, n_heads=2,
+                              n_layers=1, d_ff=32, max_seq_len=32, seed=seed)
+            params = init_params(cfg)
+            rng = np.random.default_rng(seed)
+            src = list(rng.integers(5, cfg.vocab_size,
+                                    size=rng.integers(1, 20))) + [EOS]
+            ext = [cfg.vocab_size] + src[1:]  # one source OOV
+            limit = max_steps_within(cfg, len(src), 32)
+            for k in (2, 4):
+                calls += same_as_full_length(
+                    lambda: make_step_fn(params, src, ext, 1, cfg), limit, k)
+        assert calls[0] < calls[1]
+
+    def test_stops_once_a_finished_hypothesis_is_out_of_reach(self):
+        # step 2 keeps the finished (4, EOS) at 0.81 and the live (5, 2) at
+        # 0.1; unlisted prefixes emit 2 forever, so the full-length search
+        # runs all 10 steps to the same answer
+        step_fn = sparse_step_fn({(): {4: 0.9, 5: 0.1},
+                                  (4,): {EOS: 0.9, 2: 0.1}}, {2: 1.0})
+        early, early_calls = counted(step_fn)
+        full, full_calls = counted(step_fn)
+        best = beam_search(early, 10, beam_width=2)
+        assert best.ids == (4, EOS)
+        assert reference_search.beam_search(full, 10, beam_width=2) == best
+        assert (len(early_calls), len(full_calls)) == (2, 10)
+
+    @pytest.mark.parametrize("bound", [decoder.STEP_GAIN_BOUND, 0.0])
+    def test_a_tie_does_not_stop_the_search(self, monkeypatch, bound):
+        # step 2 ends with the finished (4, EOS) level with the live
+        # (4, UNK), whose (4, UNK, EOS) then wins the tie on smaller ids;
+        # with no slack, a stop on >= would return (4, EOS)
+        monkeypatch.setattr(decoder, "STEP_GAIN_BOUND", bound)
+        step_fn = sparse_step_fn({(): {4: 1.0}, (4,): {UNK: 0.5, EOS: 0.5}},
+                                 {EOS: 1.0})
+        best = beam_search(step_fn, 3, beam_width=2)
+        assert best.ids == (4, UNK, EOS)
+        assert reference_search.beam_search(step_fn, 3, beam_width=2) == best
+
+    def test_a_step_may_gain_up_to_the_bound(self):
+        # probabilities that round above 1: the live (4,) trails the
+        # finished (EOS,) by 2e-4 nats, then gains 1e-4 on each of four
+        # steps at p = 1 + 1e-4 and wins; with STEP_GAIN_BOUND = 0 the
+        # search would stop at step 1 and return (EOS,)
+        up = 1.0 + 1e-4
+        step_fn = sparse_step_fn({(): {EOS: 0.50005, 4: 0.49995},
+                                  (4,): {4: up}, (4, 4): {4: up},
+                                  (4, 4, 4): {4: up}, (4, 4, 4, 4): {EOS: up}},
+                                 {EOS: 1.0})
+        best = beam_search(step_fn, 6, beam_width=2)
+        assert best.ids == (4, 4, 4, 4, EOS)
+        assert reference_search.beam_search(step_fn, 6, beam_width=2) == best
+
+
 class TestForcedCopy:
     def test_peaked_attention_emits_that_source_word(self):
         cfg = tiny_config()
@@ -389,6 +498,15 @@ class TestResolveSummary:
 
 
 class TestDecodeConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("beam_width", 2.5), ("beam_width", True),
+        ("max_summary_len", 3.0), ("max_summary_len", float("nan"))])
+    def test_non_integers_rejected(self, name, value):
+        with pytest.raises(ValueError) as info:
+            DecodeConfig(**{name: value})
+        assert str(info.value) == "%s must be an integer, got %r" % (name,
+                                                                     value)
+
     def test_invalid_lengths_rejected(self):
         with pytest.raises(ValueError):
             DecodeConfig(max_summary_len=0)

@@ -162,3 +162,12 @@ class TestVocabularyFile:
         path.write_text("a\nb\nc\nd\ne\nf\n")
         with pytest.raises(ValueError):
             Vocabulary.load(path)
+
+
+class TestVocabularyMembership:
+    def test_in_holds_exactly_the_tokens(self):
+        # the benchmark's vocab_problems checks marker words with `in`
+        v = Vocabulary(["red", "green"])
+        assert all(t in v for t in SPECIAL_TOKENS + ["red", "green"])
+        assert "blue" not in v and "" not in v
+        assert v.id_of("red") not in v  # ids are not tokens
