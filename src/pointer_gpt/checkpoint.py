@@ -59,6 +59,10 @@ def save_checkpoint(params, config, path):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
     try:
         with os.fdopen(fd, "wb") as f:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
             f.write(MAGIC)
             f.write(struct.pack("<I", VERSION))
             f.write(struct.pack("<I", len(header)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DatasetError, load_dataset, require_tokens,
                    split_by_index)
-from .decoder import DecodeConfig, beam_decode, greedy_decode
+from .decoder import DecodeConfig, beam_decode
 from .model import ModelConfig, init_params, positions_needed
 from .rouge import format_report_table, rouge_report
 from .tokenizer import (Vocabulary, build_vocab, decode, encode_example,
@@ -105,10 +106,19 @@ def _prepare_corpus(records, cfg, seed, baseline):
     return vocab, model_cfg, examples
 
 
-def _train_model(records, cfg, seed, baseline, loss_log=None):
+def _train_model(records, cfg, seed, baseline, out=None):
+    """Train one model. Into a directory `out`, the older run's model.ckpt
+    and vocab.txt go before the first step, as loss.log is rewritten: a
+    failed run leaves its own log and nothing of another run."""
     vocab, model_cfg, examples = _prepare_corpus(records, cfg, seed, baseline)
     params = init_params(model_cfg)
     train_cfg = TrainConfig(seed=seed, **cfg.get("train", {}))
+    loss_log = None
+    if out is not None:
+        for name in ("model.ckpt", "vocab.txt"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, name))
+        loss_log = os.path.join(out, "loss.log")
     train(params, examples, train_cfg, model_cfg, loss_log_path=loss_log)
     return vocab, model_cfg, params
 
@@ -118,9 +128,8 @@ def cmd_train(args):
     seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     os.makedirs(args.out, exist_ok=True)
-    vocab, model_cfg, params = _train_model(
-        records, cfg, seed, args.baseline,
-        loss_log=os.path.join(args.out, "loss.log"))
+    vocab, model_cfg, params = _train_model(records, cfg, seed,
+                                            args.baseline, out=args.out)
     vocab.save(os.path.join(args.out, "vocab.txt"))
     save_checkpoint(params, model_cfg, os.path.join(args.out, "model.ckpt"))
     print("trained %d records; artifacts written to %s"
@@ -130,14 +139,9 @@ def cmd_train(args):
 
 def _decode_text(params, model_cfg, vocab, text, dcfg):
     source_ids, source_ext_ids, oov = encode_source(text, vocab)
-    if dcfg.beam_width == 1:
-        ids = greedy_decode(params, source_ids, source_ext_ids, len(oov),
-                            model_cfg, dcfg)
-    else:
-        hyp = beam_decode(params, source_ids, source_ext_ids, len(oov),
-                          model_cfg, dcfg)
-        ids = hyp.ids
-    return decode(ids, vocab, oov)
+    hyp = beam_decode(params, source_ids, source_ext_ids, len(oov), model_cfg,
+                      dcfg)
+    return decode(hyp.ids, vocab, oov)  # decode drops EOS
 
 
 def _load_model(args):

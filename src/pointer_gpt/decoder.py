@@ -1,6 +1,7 @@
-"""Autoregressive summary generation: greedy and beam search.
+"""Autoregressive summary generation by beam search; greedy decoding is
+beam search of width 1.
 
-Both searches run over the mixed (vocabulary + copy) distribution in
+The search runs over the mixed (vocabulary + copy) distribution in
 extended-id space. Copied extended ids have no embedding row, so they feed
 back into the model as UNK.
 """
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import feed_ids, forward_hidden, pointer_head, positions_needed
+from .model import (feed_ids, forward_hidden, pointer_head,
+                    positions_needed, require_int)
 from .ops import LOG_FLOOR
 from .tensor import ContractError, Tensor
 from .tokenizer import EOS, SEP
@@ -26,13 +28,7 @@ class DecodeConfig:
 
     def __post_init__(self):
         for name in ("max_summary_len", "beam_width"):
-            value = getattr(self, name)
-            if type(value) is not int:  # bool subclasses int
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, value))
-            if value < 1:
-                raise ValueError("%s must be at least 1, got %r"
-                                 % (name, value))
+            require_int(name, getattr(self, name), 1)
         if self.beam_width > self.MAX_BEAM_WIDTH:
             raise ValueError("beam_width must be <= %d" % self.MAX_BEAM_WIDTH)
 
@@ -102,20 +98,6 @@ def max_steps_within(config, source_len, requested):
     return max(1, min(requested, room))
 
 
-def greedy_search(step_fn, max_len):
-    """Argmax decode; ties break to the smallest id; stops at EOS."""
-    out = []
-    log_prob = 0.0
-    for _ in range(max_len):
-        dist = step_fn([out])[0]
-        nxt = int(np.argmax(dist))
-        log_prob += math.log(max(float(dist[nxt]), LOG_FLOOR))
-        out.append(nxt)
-        if nxt == EOS:
-            break
-    return Hypothesis(tuple(out), log_prob)
-
-
 def beam_search(step_fn, max_len, beam_width):
     """Standard beam search; finished hypotheses retire to a pool.
 
@@ -151,14 +133,16 @@ def beam_search(step_fn, max_len, beam_width):
 
 def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,
                   dcfg):
+    """Argmax ids without EOS: beam search of width 1, whose stable argsort
+    takes the argmax and breaks ties to the smallest id."""
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
-    return [i for i in greedy_search(step_fn, limit).ids if i != EOS]
+    return [i for i in beam_search(step_fn, limit, 1).ids if i != EOS]
 
 
 def beam_decode(params, source_ids, source_ext_ids, oov_count, config, dcfg):
-    """Best hypothesis under beam search; k = 1 coincides with greedy."""
+    """Best hypothesis under beam search of width dcfg.beam_width."""
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)

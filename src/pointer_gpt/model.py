@@ -27,6 +27,15 @@ MAX_LAYERS = 64
 MAX_PARAMS = 50_000_000
 
 
+def require_int(name, value, low):
+    """Raise ValueError unless value is an int (not a bool) of at least low:
+    the rule of every integer config field."""
+    if type(value) is not int:  # bool subclasses int
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be at least %d, got %r" % (name, low, value))
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -43,13 +52,7 @@ class ModelConfig:
         for name, low in (("vocab_size", len(SPECIAL_TOKENS)), ("d_model", 1),
                           ("n_heads", 1), ("n_layers", 1), ("d_ff", 1),
                           ("max_seq_len", 8), ("seed", 0)):
-            value = getattr(self, name)
-            if type(value) is not int:  # bool subclasses int
-                raise ValueError("%s must be an integer, got %r"
-                                 % (name, value))
-            if value < low:
-                raise ValueError("%s must be at least %d, got %r"
-                                 % (name, low, value))
+            require_int(name, getattr(self, name), low)
         if type(self.baseline) is not bool:
             raise ValueError("baseline must be true or false, got %r"
                              % (self.baseline,))

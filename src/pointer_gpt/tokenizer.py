@@ -64,11 +64,14 @@ class Vocabulary:
 
 def build_vocab(corpus, max_size, min_freq=1):
     """Specials + most-frequent tokens, ties broken lexicographically."""
-    if max_size <= len(SPECIAL_TOKENS):
-        raise ValueError("max_size must exceed the %d reserved specials"
-                         % len(SPECIAL_TOKENS))
-    if min_freq < 1:
-        raise ValueError("min_freq must be at least 1, got %r" % min_freq)
+    # model.require_int's rule and messages; model imports this module
+    for name, value, low in (("max_size", max_size, len(SPECIAL_TOKENS) + 1),
+                             ("min_freq", min_freq, 1)):
+        if type(value) is not int:  # bool subclasses int
+            raise ValueError("%s must be an integer, got %r" % (name, value))
+        if value < low:
+            raise ValueError("%s must be at least %d, got %r"
+                             % (name, low, value))
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import sequence_loss
+from .model import require_int, sequence_loss
 from .optim import adam_step, clip_grad_norm
 from .tensor import Tape, backward
 
@@ -38,15 +38,11 @@ class TrainConfig:
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError("eps must be positive and finite, got %r"
                              % self.eps)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1, got %r" % self.epochs)
+        for name, low in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            require_int(name, getattr(self, name), low)
         if not (math.isfinite(self.max_grad_norm) and self.max_grad_norm > 0):
             raise ValueError("max_grad_norm must be positive and finite, "
                              "got %r" % self.max_grad_norm)
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0, got %r" % self.seed)
 
 
 @dataclass

@@ -1,10 +1,15 @@
-"""The full-length beam search, kept for tests.
+"""Reference searches, kept for tests.
 
-This is `decoder.beam_search` as it was before the early stop: it steps
-until every beam has finished or max_len is reached. The early-stopping
-search must return the same hypothesis, and the K/V-cache mutation controls
-drive their queries through this one, so that every step of a search still
-reaches the cache.
+`greedy_search` is the argmax loop that `decoder.greedy_decode` ran before
+greedy decoding became beam search of width 1. Criterion 9 and the decoder
+tests compare `decoder.beam_search` with it, so they compare two separate
+implementations.
+
+`beam_search` is `decoder.beam_search` as it was before the early stop: it
+steps until every beam has finished or max_len is reached. The
+early-stopping search must return the same hypothesis, and the K/V-cache
+mutation controls drive their queries through this one, so that every step
+of a search still reaches the cache.
 """
 
 import math
@@ -14,6 +19,20 @@ import numpy as np
 from pointer_gpt.decoder import Hypothesis
 from pointer_gpt.ops import LOG_FLOOR
 from pointer_gpt.tokenizer import EOS
+
+
+def greedy_search(step_fn, max_len):
+    """Argmax decode; ties break to the smallest id; stops at EOS."""
+    out = []
+    log_prob = 0.0
+    for _ in range(max_len):
+        dist = step_fn([out])[0]
+        nxt = int(np.argmax(dist))
+        log_prob += math.log(max(float(dist[nxt]), LOG_FLOOR))
+        out.append(nxt)
+        if nxt == EOS:
+            break
+    return Hypothesis(tuple(out), log_prob)
 
 
 def beam_search(step_fn, max_len, beam_width):

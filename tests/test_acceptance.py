@@ -21,12 +21,13 @@ from pointer_gpt.checkpoint import load_checkpoint, save_checkpoint
 from pointer_gpt.cli import main, run_compare
 from pointer_gpt.data import (copy_task_vocab_size, save_dataset,
                               synthetic_copy_task)
-from pointer_gpt.decoder import beam_search, greedy_search, make_step_fn
+from pointer_gpt.decoder import beam_search, make_step_fn
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import (ModelConfig, forward_hidden, init_params,
                                pointer_step, sequence_loss)
 from pointer_gpt.rouge import f_measure, rouge_n_tokens
 from pointer_gpt.tokenizer import EOS, SEP, EncodedExample
+from reference_search import greedy_search
 
 PUBLISHED_ROWS = [
     # (precision, recall, published F)

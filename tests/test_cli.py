@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import stat
 import struct
 from pathlib import Path
 
@@ -174,6 +176,19 @@ class TestCheckpoint:
         before = sequence_loss(params, [ex], cfg).data
         after = sequence_loss(loaded, [ex], cfg).data
         assert np.array_equal(before, after)
+
+    def test_file_gets_the_mode_open_gives(self, tmp_path):
+        # mkstemp creates 0600; under umask 022 open() creates 0644
+        params, cfg = tiny_model()
+        umask = os.umask(0o022)
+        try:
+            save_checkpoint(params, cfg, str(tmp_path / "m.ckpt"))
+            (tmp_path / "other").open("w").close()
+        finally:
+            os.umask(umask)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("m.ckpt", "other")]
+        assert modes == [0o644, 0o644]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -516,6 +531,20 @@ class TestCliTrain:
         lines = (tmp_path / "run" / "loss.log").read_text().splitlines()
         # 4 records, batch 2, 2 epochs: 4 optimizer steps per run
         assert [int(line.split("\t")[0]) for line in lines] == [1, 2, 3, 4]
+
+    def test_failed_run_leaves_no_artifacts_of_an_older_run(
+            self, tmp_path, data_path, capsys):
+        out = tmp_path / "run"
+        config = tmp_path / "config.json"
+        for lr, code in ((3e-4, 0), (1e39, 1)):
+            config.write_text(json.dumps(
+                dict(SMALL_CONFIG, train={"epochs": 1, "lr": lr})))
+            assert main(["train", "--data", data_path, "--out", str(out),
+                         "--config", str(config)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "model.ckpt").exists()
+        assert not (out / "vocab.txt").exists()
+        assert (out / "loss.log").exists()
 
     def test_same_seed_identical_checkpoints(self, tmp_path, data_path,
                                              config_path):

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from pointer_gpt.decoder import (
-    DecodeConfig, beam_search, greedy_decode, greedy_search,
-    make_step_fn, max_steps_within,
+    DecodeConfig, beam_search, greedy_decode, make_step_fn, max_steps_within,
 )
 from pointer_gpt import decoder, model
+from pointer_gpt.data import copy_task_vocab_size, synthetic_copy_task
 import reference_search
+from reference_search import greedy_search
 from pointer_gpt.model import (NEG_INF, ModelConfig, forward_hidden,
                                init_params, pointer_step)
 from pointer_gpt.tensor import ContractError
-from pointer_gpt.tokenizer import EOS, SEP, UNK, build_vocab, decode
+from pointer_gpt.tokenizer import (EOS, SEP, UNK, build_vocab, decode,
+                                   encode_example, encode_source)
+from pointer_gpt.trainer import TrainConfig, train
 
 
 def tiny_config(seed=0, v=20):
@@ -435,6 +438,53 @@ class TestEarlyStop:
         best = beam_search(step_fn, 6, beam_width=2)
         assert best.ids == (4, 4, 4, 4, EOS)
         assert reference_search.beam_search(step_fn, 6, beam_width=2) == best
+
+
+def same_as_reference_greedy(params, src, ext, oov_count, cfg, max_len):
+    """Assert that greedy_decode's ids, and beam_search's ids and log-prob
+    at width 1, equal the reference greedy loop's, bit for bit; return
+    whether the search ended on EOS."""
+    def fresh():
+        return make_step_fn(params, src, ext, oov_count, cfg)
+
+    limit = max_steps_within(cfg, len(src), max_len)
+    want = greedy_search(fresh(), limit)
+    got = beam_search(fresh(), limit, 1)
+    assert (got.ids, got.log_prob) == (want.ids, want.log_prob)
+    assert greedy_decode(params, src, ext, oov_count, cfg,
+                         DecodeConfig(max_summary_len=max_len)) == [
+        i for i in want.ids if i != EOS]
+    return want.ids[-1] == EOS
+
+
+class TestGreedyIsBeamOfWidthOne:
+    def test_same_as_reference_greedy_on_criterion_9_models(self):
+        ended = 0
+        for seed in range(20):
+            params, src, oov_ext, cfg = criterion_9_model(seed)
+            for ext, oov_count in ((src, 0), (oov_ext, 1)):
+                for max_len in (1, 3, 6, 10):
+                    ended += same_as_reference_greedy(
+                        params, src, ext, oov_count, cfg, max_len)
+        assert 0 < ended < 160  # both ways to end a search are covered
+
+    def test_same_as_reference_greedy_on_a_trained_copy_model(self):
+        records = synthetic_copy_task(140, seed=5)
+        vocab = build_vocab([r.source for r in records[:40]]
+                            + [r.summary for r in records[:40]],
+                            max_size=copy_task_vocab_size())
+        cfg = ModelConfig(vocab_size=vocab.size, d_model=16, n_heads=2,
+                          n_layers=1, d_ff=32, max_seq_len=48, seed=0)
+        params = init_params(cfg)
+        train(params, [encode_example(r.source, r.summary, vocab)
+                       for r in records[:40]],
+              TrainConfig(lr=1e-2, epochs=4, batch_size=4), cfg)
+        ended = 0
+        for r in records[40:]:
+            src, ext, oov = encode_source(r.source, vocab)
+            ended += same_as_reference_greedy(params, src, ext, len(oov),
+                                              cfg, 16)
+        assert ended > 0  # the trained model stops on EOS
 
 
 class TestForcedCopy:

@@ -1,5 +1,6 @@
 """Tests for the tensor/autodiff kernel, optimizer, and gradcheck oracle."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -787,6 +788,62 @@ class TestOpsHaveCallers:
                           - set(BENCH_PINNED))
         assert uncalled == []
         assert sorted(set(BENCH_PINNED) - ops_called_in("bench")) == []
+
+
+# public names that nothing outside the tests calls, and why each stays
+UNCALLED_ALLOWED = {
+    "pointer_step": "bench/spans.py CALLS wraps it by name, and "
+                    "tests/test_bench_names.py requires that it exists",
+    **{name: "pinned for bench/test_bench.py's tracer test"
+       for name in BENCH_PINNED},
+}
+
+
+def public_definitions():
+    """(module, name) of every public function and method in src."""
+    root = Path(__file__).resolve().parent.parent / "src" / "pointer_gpt"
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            found += [(path.stem, fn.name) for fn in body
+                      if isinstance(fn, ast.FunctionDef)
+                      and not fn.name.startswith("_")]
+    return found
+
+
+def names_used_outside_tests():
+    """Every name that code in src, bench or demos reads, calls included:
+    `f(...)`, `x.f(...)`, a handler passed as `func=f`, a property read.
+    Files named test_*.py do not count. Names match without their module,
+    so a namesake elsewhere (numpy's `.shape`) counts as a use."""
+    root = Path(__file__).resolve().parent.parent
+    used = set()
+    for folder in ("src", "bench", "demos"):
+        for path in sorted((root / folder).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+class TestPublicNamesHaveCallers:
+    def test_every_public_function_and_method_is_used_outside_tests(self):
+        # a replaced function must leave src with its last caller; a name
+        # only tests call belongs in a test helper, unless listed above
+        definitions = public_definitions()
+        assert ("decoder", "beam_search") in definitions
+        assert ("tokenizer", "id_of") in definitions  # methods count too
+        used = names_used_outside_tests()
+        unused = sorted("%s.%s" % (module, name)
+                        for module, name in definitions
+                        if name not in used and name not in UNCALLED_ALLOWED)
+        assert unused == []
+        assert sorted(set(UNCALLED_ALLOWED) & used) == []
 
 
 def op_calls(dtype):

@@ -33,6 +33,21 @@ class TestTrain:
                            match="^seed must be at least 0, got -1$"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", True), ("seed", True), ("batch_size", 2.5),
+        ("epochs", 2.0)])
+    def test_non_integers_rejected(self, name, value):
+        # True used to train one epoch or seed 1; the floats failed in train
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{name: value})
+        assert str(info.value) == "%s must be an integer, got %r" % (name,
+                                                                     value)
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(batch_size=0)
+        assert str(info.value) == "batch_size must be at least 1, got 0"
+
     def test_empty_dataset_rejected(self, corpus):
         _, _, cfg = corpus
         with pytest.raises(ValueError):
