@@ -28,7 +28,7 @@ CONFIG_SECTIONS = {
               ("vocab_size", "seed", "baseline")),
     "train": ({f.name: f.default for f in dataclasses.fields(TrainConfig)},
               ("seed",)),
-    "vocab": ({"max_size": 4000, "min_freq": 1}, ()),
+    "vocab": ({"max_size": 4000}, ()),
     "decode": ({f.name: f.default for f in dataclasses.fields(DecodeConfig)},
                ()),
 }
@@ -36,19 +36,6 @@ CONFIG_SECTIONS = {
 
 class CliError(RuntimeError):
     pass
-
-
-def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("POINTER_GPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError("POINTER_GPT_SEED must be an integer, got %r"
-                           % env)
-    return 0
 
 
 def _load_config_file(path):
@@ -125,10 +112,9 @@ def _train_model(records, cfg, seed, baseline, out=None):
 
 def cmd_train(args):
     records = load_dataset(args.data)
-    seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     os.makedirs(args.out, exist_ok=True)
-    vocab, model_cfg, params = _train_model(records, cfg, seed,
+    vocab, model_cfg, params = _train_model(records, cfg, args.seed,
                                             args.baseline, out=args.out)
     vocab.save(os.path.join(args.out, "vocab.txt"))
     save_checkpoint(params, model_cfg, os.path.join(args.out, "model.ckpt"))
@@ -170,13 +156,9 @@ def cmd_evaluate(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
     params, model_cfg, vocab = _load_model(args)
     records = load_dataset(args.data)
-    references = [r.summary for r in records]
-    if args.self_test:
-        candidates = list(references)
-    else:
-        candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
-                      for r in records]
-    report = rouge_report(candidates, references)
+    candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
+                  for r in records]
+    report = rouge_report(candidates, [r.summary for r in records])
     print(format_report_table([("PointerGPT" if not model_cfg.baseline
                                 else "GPT-baseline", report)]))
     return 0
@@ -202,10 +184,9 @@ def run_compare(records, cfg, seed, dcfg=None):
 
 def cmd_compare(args):
     records = load_dataset(args.data)
-    seed = _resolve_seed(args)
     cfg = _load_config_file(args.config)
     dcfg = DecodeConfig(**_config_with_defaults(cfg, "decode"))
-    rows = run_compare(records, cfg, seed, dcfg)
+    rows = run_compare(records, cfg, args.seed, dcfg)
     print(format_report_table(rows))
     return 0
 
@@ -220,7 +201,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="JSONL dataset path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true",
                    help="freeze the gate at p_gen=1 (no copying)")
     p.set_defaults(func=cmd_train)
@@ -239,14 +220,12 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
     p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
-    p.add_argument("--self-test", action="store_true",
-                   help="score references against themselves (all 1.0)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="baseline vs pointer on an 80/20 split")
     p.add_argument("--data", required=True)
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 
     return parser

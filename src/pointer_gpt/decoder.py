@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (feed_ids, forward_hidden, pointer_head,
-                    positions_needed, require_int)
+from .model import feed_ids, forward_hidden, pointer_head, positions_needed
 from .ops import LOG_FLOOR
-from .tensor import ContractError, Tensor
+from .tensor import ContractError, Tensor, require_int
 from .tokenizer import EOS, SEP
 
 

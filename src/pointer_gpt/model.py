@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ContractError, Tensor, active_tape
+from .tensor import ContractError, Tensor, active_tape, require_int
 from .tokenizer import PAD, SEP, SPECIAL_TOKENS, UNK
 
 NEG_INF = -1e9
@@ -25,15 +25,6 @@ NEG_INF = -1e9
 # two moments).
 MAX_LAYERS = 64
 MAX_PARAMS = 50_000_000
-
-
-def require_int(name, value, low):
-    """Raise ValueError unless value is an int (not a bool) of at least low:
-    the rule of every integer config field."""
-    if type(value) is not int:  # bool subclasses int
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if value < low:
-        raise ValueError("%s must be at least %d, got %r" % (name, low, value))
 
 
 @dataclass

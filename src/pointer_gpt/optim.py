@@ -8,17 +8,21 @@ import numpy as np
 
 from .tensor import ContractError
 
+# Kingma & Ba's (2015) defaults, the only values the project trains with
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 def adam_step(params, grads, moments, t, tcfg):
-    """Step t (from 1) of bias-corrected Adam with tcfg's lr, betas and eps;
-    grads[i] and moments[i] = (m, v), updated in place, belong to params[i]."""
+    """Step t (from 1) of bias-corrected Adam with tcfg.lr, BETA1, BETA2 and
+    EPS; grads[i] and moments[i] = (m, v), updated in place, belong to
+    params[i]."""
     if len(grads) != len(params):
         raise ContractError("adam_step: %d grads for %d parameters"
                             % (len(grads), len(params)))
-    b1, b2 = tcfg.beta1, tcfg.beta2
+    b1, b2 = BETA1, BETA2
     correction1 = 1.0 - b1 ** t
     root2 = math.sqrt(1.0 - b2 ** t)
-    step, eps = tcfg.lr * root2 / correction1, tcfg.eps * root2
+    step, eps = tcfg.lr * root2 / correction1, EPS * root2
     for p, g, (m, v) in zip(params, grads, moments):
         m *= b1
         m += (1.0 - b1) * g

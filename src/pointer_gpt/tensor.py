@@ -28,6 +28,15 @@ class ShapeError(ContractError):
     """Operand shapes are incompatible."""
 
 
+def require_int(name, value, low):
+    """Raise ValueError unless value is an int (not a bool) of at least low:
+    the rule of every integer config field."""
+    if type(value) is not int:  # bool subclasses int
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if value < low:
+        raise ValueError("%s must be at least %d, got %r" % (name, low, value))
+
+
 class Tensor:
     """Shape + float buffer; hashed by identity, so it can key a dict."""
 

@@ -10,6 +10,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .tensor import require_int
+
 SPECIAL_TOKENS = ["<pad>", "<unk>", "<bos>", "<eos>", "<sep>"]
 PAD, UNK, BOS, EOS, SEP = range(len(SPECIAL_TOKENS))
 
@@ -62,21 +64,14 @@ class Vocabulary:
         return cls(lines[len(SPECIAL_TOKENS):])
 
 
-def build_vocab(corpus, max_size, min_freq=1):
+def build_vocab(corpus, max_size):
     """Specials + most-frequent tokens, ties broken lexicographically."""
-    # model.require_int's rule and messages; model imports this module
-    for name, value, low in (("max_size", max_size, len(SPECIAL_TOKENS) + 1),
-                             ("min_freq", min_freq, 1)):
-        if type(value) is not int:  # bool subclasses int
-            raise ValueError("%s must be an integer, got %r" % (name, value))
-        if value < low:
-            raise ValueError("%s must be at least %d, got %r"
-                             % (name, low, value))
+    require_int("max_size", max_size, len(SPECIAL_TOKENS) + 1)
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, c in ranked if c >= min_freq]
+    kept = [tok for tok, _ in ranked]
     return Vocabulary(kept[:max_size - len(SPECIAL_TOKENS)])
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pointer_gpt import ops
+from pointer_gpt import ops, optim
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import _causal_mask
 from pointer_gpt.optim import adam_step, clip_grad_norm
@@ -431,29 +431,35 @@ class TestAdam:
         losses.append(float(p.data[0] ** 2))
         assert losses[0] > losses[1] > losses[2]
 
-    # every setting away from its default; eps is large enough to matter
-    TCFG = TrainConfig(lr=0.05, beta1=0.7, beta2=0.95, eps=0.3)
+    TCFG = TrainConfig(lr=0.05)
     GRADS = (np.array([0.2, -0.5, 0.03]), np.array([-0.4, 0.1, 0.06]))
+
+    @pytest.fixture
+    def constants_off_default(self, monkeypatch):
+        # every Adam constant off its value; eps is large enough to matter
+        for name, value in (("BETA1", 0.7), ("BETA2", 0.95), ("EPS", 0.3)):
+            monkeypatch.setattr(optim, name, value)
 
     @staticmethod
     def closed_form(tcfg, grads, mistake=None):
         """The sum of Kingma & Ba's bias-corrected updates over the steps,
         or of the updates an optimizer with the named mistake makes."""
-        b1, b2 = tcfg.beta1, tcfg.beta2
+        b1, b2 = optim.BETA1, optim.BETA2
         if mistake == "swapped betas":
             b1, b2 = b2, b1
         m = v = total = 0.0
         for t, g in enumerate(grads, start=1):
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
-            c1, c2, eps = 1 - b1 ** t, 1 - b2 ** t, tcfg.eps
+            c1, c2, eps = 1 - b1 ** t, 1 - b2 ** t, optim.EPS
             if mistake == "eps without sqrt(correction2)":
-                eps = tcfg.eps / np.sqrt(c2)
+                eps = optim.EPS / np.sqrt(c2)
             if mistake == "no bias correction":
                 c1 = c2 = 1
             total = total + tcfg.lr * (m / c1) / (np.sqrt(v / c2) + eps)
         return total
 
+    @pytest.mark.usefixtures("constants_off_default")
     def test_train_config_settings_reach_the_update(self):
         p = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64,
                    requires_grad=True)
@@ -467,6 +473,7 @@ class TestAdam:
     @pytest.mark.parametrize("mistake", [
         "swapped betas", "eps without sqrt(correction2)",
         "no bias correction"])
+    @pytest.mark.usefixtures("constants_off_default")
     def test_each_mistake_is_outside_the_tolerance(self, mistake):
         # mutation control: these settings and grads tell each mistake apart
         right = self.closed_form(self.TCFG, self.GRADS)

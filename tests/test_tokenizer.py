@@ -44,15 +44,6 @@ class TestBuildVocab:
         v = build_vocab(["y x"], max_size=6)
         assert "x" in v and "y" not in v
 
-    def test_min_freq(self):
-        v = build_vocab(["a a b"], max_size=10, min_freq=2)
-        assert "a" in v and "b" not in v
-
-    @pytest.mark.parametrize("min_freq", [0, -3])
-    def test_min_freq_must_be_positive(self, min_freq):
-        with pytest.raises(ValueError, match="min_freq must be at least 1"):
-            build_vocab(["a"], max_size=10, min_freq=min_freq)
-
     def test_max_size_must_exceed_specials(self):
         with pytest.raises(ValueError):
             build_vocab(["a"], max_size=5)
@@ -60,7 +51,6 @@ class TestBuildVocab:
     @pytest.mark.parametrize("name, value, message", [
         ("max_size", 7.5, "max_size must be an integer, got 7.5"),
         ("max_size", True, "max_size must be an integer, got True"),
-        ("min_freq", 1.0, "min_freq must be an integer, got 1.0"),
         ("max_size", 5, "max_size must be at least 6, got 5")])
     def test_settings_are_integers_with_a_lower_bound(self, name, value,
                                                       message):

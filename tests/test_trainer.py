@@ -43,6 +43,15 @@ class TestTrain:
         assert str(info.value) == "%s must be an integer, got %r" % (name,
                                                                      value)
 
+    @pytest.mark.parametrize("lr", [True, "0.1", None, 10 ** 400],
+                             ids=["bool", "str", "none", "401-digit-int"])
+    def test_lr_must_be_a_positive_finite_number(self, lr):
+        # True trained with lr 1.0; the int overflowed math.isfinite
+        with pytest.raises(ValueError) as info:
+            TrainConfig(lr=lr)
+        assert str(info.value) == "lr must be positive and finite, got %r" % (
+            lr,)
+
     def test_batch_size_below_one_rejected(self):
         with pytest.raises(ValueError) as info:
             TrainConfig(batch_size=0)
