@@ -9,7 +9,7 @@ back into the model as UNK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,19 +130,18 @@ def beam_search(step_fn, max_len, beam_width):
     return min(finished or beams, key=rank)
 
 
-def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,
-                  dcfg):
-    """Argmax ids without EOS: beam search of width 1, whose stable argsort
-    takes the argmax and breaks ties to the smallest id."""
-    step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
-                           config)
-    limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
-    return [i for i in beam_search(step_fn, limit, 1).ids if i != EOS]
-
-
 def beam_decode(params, source_ids, source_ext_ids, oov_count, config, dcfg):
     """Best hypothesis under beam search of width dcfg.beam_width."""
     step_fn = make_step_fn(params, source_ids, source_ext_ids, oov_count,
                            config)
     limit = max_steps_within(config, len(source_ids), dcfg.max_summary_len)
     return beam_search(step_fn, limit, dcfg.beam_width)
+
+
+def greedy_decode(params, source_ids, source_ext_ids, oov_count, config,
+                  dcfg):
+    """Argmax ids without EOS: beam search of width 1, whose stable argsort
+    takes the argmax and breaks ties to the smallest id."""
+    hyp = beam_decode(params, source_ids, source_ext_ids, oov_count, config,
+                      replace(dcfg, beam_width=1))
+    return [i for i in hyp.ids if i != EOS]

@@ -138,7 +138,9 @@ TRAIN_CONFIG_EDITS = st.lists(st.tuples(
     st.sampled_from([(name, key)  # key None replaces the whole section
                      for name, (defaults, _) in CONFIG_SECTIONS.items()
                      for key in [*defaults, "bogus", None]]
-                    + [("bogus", "d_model")]),
+                    # unknown sections, among them the removed decode
+                    + [("bogus", "d_model"), ("decode", "beam_width"),
+                       ("decode", None)]),
     st.sampled_from(TRAIN_CONFIG_VALUES)), max_size=2)
 GOOD_LINE = b'{"source": "a b c d", "summary": "b c"}'
 DATA_LINES = st.one_of(  # half of the extra lines are good records
@@ -579,33 +581,51 @@ class TestCliTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad, section", [
-        ({"model": {"bogus": 1}}, "model"),
-        ({"model": [1]}, "model"),
-        ({"train": {"epochs": "two"}}, "train"),
-        ({"model": {"n_layers": True}}, "model"),
-        ({"model": {"seed": 1}}, "model"),
-        ({"modle": {"d_model": 8}}, "modle"),
-        ({"model": {"dropout_rate": 0.0}}, "model"),  # the model has none
+    @pytest.mark.parametrize("command, bad, message", [
+        ("train", {"model": {"bogus": 1}},
+         "config section 'model': unknown key 'bogus'"),
+        ("train", {"model": [1]},
+         "config section 'model' must be a JSON object"),
+        # the constructors check each value: TrainConfig, ModelConfig
+        ("train", {"train": {"epochs": "two"}},
+         "epochs must be an integer, got 'two'"),
+        ("train", {"model": {"n_layers": True}},
+         "n_layers must be an integer, got True"),
+        ("train", {"model": {"seed": 1}}, "config section 'model': 'seed' "
+         "is set by the command line, not the config file"),
+        ("train", {"modle": {"d_model": 8}},
+         "config section 'modle' is not one of model, train, vocab"),
+        ("train", {"model": {"dropout_rate": 0.0}},  # the model has none
+         "config section 'model': unknown key 'dropout_rate'"),
         # constants now: optim.BETA1/BETA2/EPS, trainer.MAX_GRAD_NORM, and
         # build_vocab keeps every counted token
-        ({"train": {"beta1": 0.9}}, "train"),
-        ({"train": {"eps": 1e-8}}, "train"),
-        ({"train": {"max_grad_norm": 1.0}}, "train"),
-        ({"vocab": {"min_freq": 1}}, "vocab"),
+        ("train", {"train": {"beta1": 0.9}},
+         "config section 'train': unknown key 'beta1'"),
+        ("train", {"train": {"eps": 1e-8}},
+         "config section 'train': unknown key 'eps'"),
+        ("train", {"train": {"max_grad_norm": 1.0}},
+         "config section 'train': unknown key 'max_grad_norm'"),
+        ("train", {"vocab": {"min_freq": 1}},
+         "config section 'vocab': unknown key 'min_freq'"),
+        # compare decodes with DecodeConfig(), as evaluate does by default
+        ("train", {"decode": {"beam_width": 4}},
+         "config section 'decode' is not one of model, train, vocab"),
+        ("compare", {"decode": {"beam_width": 4}},
+         "config section 'decode' is not one of model, train, vocab"),
     ], ids=["unknown-key", "not-an-object", "wrong-type", "bool-for-int",
             "cli-owned-key", "unknown-section", "dropout_rate", "beta1",
-            "eps", "max_grad_norm", "min_freq"])
+            "eps", "max_grad_norm", "min_freq", "decode-train",
+            "decode-compare"])
     def test_bad_config_is_one_error_line(self, tmp_path, data_path, capsys,
-                                          bad, section):
+                                          command, bad, message):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(bad))
-        code = main(["train", "--data", data_path, "--out",
-                     str(tmp_path / "o"), "--config", str(config)])
-        err = capsys.readouterr().err
+        out = tmp_path / "o"
+        code = main([command, "--data", data_path, "--config", str(config)]
+                    + (["--out", str(out)] if command == "train" else []))
         assert code == 1
-        assert err.startswith("error: config section %r" % section)
-        assert len(err.splitlines()) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
         ("n_heads", 0), ("n_layers", 0), ("d_ff", -3), ("d_model", 0)])
@@ -630,7 +650,12 @@ class TestCliTrain:
                      "got 1000", id="lr-401-digit-integer"),
     ])
     def test_bad_train_setting_is_one_error_line(
-            self, tmp_path, data_path, capsys, field, value, message):
+            self, tmp_path, data_path, capsys, monkeypatch, field, value,
+            message):
+        def no_vocab(*args, **kwargs):
+            raise AssertionError("built the vocabulary before TrainConfig")
+
+        monkeypatch.setattr(cli, "build_vocab", no_vocab)
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"train": {field: value}}))
         out = tmp_path / "o"
@@ -963,23 +988,22 @@ class TestCompare:
         assert capsys.readouterr().err == (
             "error: seed must be at least 0, got -2\n")
 
-    @pytest.mark.parametrize("decode, message", [
-        ({"beam_width": 0}, "beam_width must be at least 1, got 0"),
-        ({"max_summary_len": 0},
-         "max_summary_len must be at least 1, got 0"),
-        ({"beam_width": 65}, "beam_width must be <= 64"),
+    @pytest.mark.parametrize("train, message", [
+        ({"epochs": 0}, "epochs must be at least 1, got 0"),
+        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ({"lr": "fast"}, "lr must be positive and finite, got 'fast'"),
     ])
-    def test_bad_decode_setting_fails_before_training(
-            self, tmp_path, capsys, monkeypatch, decode, message):
+    def test_bad_train_setting_fails_before_the_vocabulary_is_built(
+            self, tmp_path, capsys, monkeypatch, train, message):
         data = tmp_path / "copy.jsonl"
         save_dataset(synthetic_copy_task(20, seed=2), str(data))
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"decode": decode}))
+        config.write_text(json.dumps({"train": train}))
 
-        def no_training(*args, **kwargs):
-            raise AssertionError("trained before checking the decode config")
+        def no_vocab(*args, **kwargs):
+            raise AssertionError("built the vocabulary before TrainConfig")
 
-        monkeypatch.setattr("pointer_gpt.cli._train_model", no_training)
+        monkeypatch.setattr(cli, "build_vocab", no_vocab)
         code = main(["compare", "--data", str(data), "--config",
                      str(config), "--seed", "0"])
         assert code == 1
