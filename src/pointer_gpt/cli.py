@@ -118,9 +118,10 @@ def _decode_text(params, model_cfg, vocab, text, dcfg):
     return decode(hyp.ids, vocab, oov)  # decode drops EOS
 
 
-def _load_model(args):
-    params, model_cfg = load_checkpoint(args.ckpt)
-    vocab = Vocabulary.load(args.vocab)
+def _load_model(directory):
+    """The model `train --out directory` wrote; the smaller file first."""
+    vocab = Vocabulary.load(os.path.join(directory, "vocab.txt"))
+    params, model_cfg = load_checkpoint(os.path.join(directory, "model.ckpt"))
     if vocab.size != model_cfg.vocab_size:
         raise CliError("vocabulary size %d does not match checkpoint "
                        "vocab_size %d" % (vocab.size, model_cfg.vocab_size))
@@ -129,21 +130,21 @@ def _load_model(args):
 
 def cmd_summarize(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
-    params, model_cfg, vocab = _load_model(args)
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input, "r", encoding="utf-8") as f:
             text = f.read()
     require_tokens(text, "input %s" % args.input)
+    params, model_cfg, vocab = _load_model(args.model)
     print(_decode_text(params, model_cfg, vocab, text, dcfg))
     return 0
 
 
 def cmd_evaluate(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
-    params, model_cfg, vocab = _load_model(args)
     records = load_dataset(args.data)
+    params, model_cfg, vocab = _load_model(args.model)
     candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
                   for r in records]
     report = rouge_report(candidates, [r.summary for r in records])
@@ -194,16 +195,14 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("summarize", help="summarize one document")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--model", required=True, help="train --out directory")
     p.add_argument("--input", required=True, help="text file or - for stdin")
     p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
     p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("evaluate", help="ROUGE report over a dataset")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--model", required=True, help="train --out directory")
     p.add_argument("--data", required=True)
     p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
     p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)

@@ -195,8 +195,7 @@ def test_criterion_6_overfit_and_verbatim_summary(tmp_path, capsys):
 
     doc = tmp_path / "doc.txt"
     doc.write_text(OVERFIT_SOURCE)
-    assert main(["summarize", "--ckpt", str(out / "model.ckpt"),
-                 "--vocab", str(out / "vocab.txt"),
+    assert main(["summarize", "--model", str(out),
                  "--input", str(doc)]) == 0
     assert capsys.readouterr().out.strip() == OVERFIT_SUMMARY
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import stat
 import struct
 from pathlib import Path
@@ -361,13 +362,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def _summarize(self, path, tmp_path, capsys):
-        """Exit code and stderr of `summarize` with the checkpoint at path."""
-        vocab = tmp_path / "vocab.txt"
-        Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(str(vocab))
+        """Exit code and stderr of `summarize` with the checkpoint at path,
+        moved into a model directory."""
+        model = tmp_path / "model"
+        model.mkdir(exist_ok=True)
+        os.replace(path, model / "model.ckpt")
+        Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(
+            str(model / "vocab.txt"))
         doc = tmp_path / "doc.txt"
         doc.write_text("a b c")
-        code = main(["summarize", "--ckpt", path, "--vocab", str(vocab),
-                     "--input", str(doc)])
+        code = main(["summarize", "--model", str(model), "--input", str(doc)])
         return code, capsys.readouterr().err
 
     def test_cli_reports_bad_checkpoint_in_one_line(self, tmp_path, capsys):
@@ -459,7 +463,8 @@ class TestCheckpoint:
     def test_any_truncated_or_flipped_file_works_or_fails_in_one_line(
             self, tmp_path, capsys, target, at, mask, beam, max_len):
         cfg = self.PROPERTY_CFG
-        files = {"ckpt": tmp_path / "m.ckpt", "vocab": tmp_path / "vocab.txt"}
+        files = {"ckpt": tmp_path / "model.ckpt",
+                 "vocab": tmp_path / "vocab.txt"}
         save_checkpoint(init_params(cfg), cfg, str(files["ckpt"]))
         Vocabulary(["a", "b", "c", "d", "e", "f", "g"]).save(
             str(files["vocab"]))
@@ -472,9 +477,8 @@ class TestCheckpoint:
         files[target].write_bytes(bytes(blob))
         doc = tmp_path / "doc.txt"
         doc.write_text("a b c")
-        code = main(["summarize", "--ckpt", str(files["ckpt"]),
-                     "--vocab", str(files["vocab"]), "--input", str(doc),
-                     "--beam", str(beam), "--max-len", str(max_len)])
+        code = main(["summarize", "--model", str(tmp_path), "--input",
+                     str(doc), "--beam", str(beam), "--max-len", str(max_len)])
         err = capsys.readouterr().err
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1
                              and err.startswith("error:")), err
@@ -526,6 +530,23 @@ class TestCliTrain:
         assert (tmp_path / "run" / "model.ckpt").exists()
         assert (tmp_path / "run" / "vocab.txt").exists()
         assert (tmp_path / "run" / "loss.log").exists()
+
+    def test_baseline_flag_reaches_the_checkpoint_and_the_report(
+            self, tmp_path, data_path, config_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", data_path, "--out", str(out),
+                     "--config", config_path, "--baseline"]) == 0
+        _, cfg = load_checkpoint(str(out / "model.ckpt"))
+        assert cfg.baseline is True
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(out),
+                     "--data", data_path]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["GPT-baseline", "Rouge-2"]
+        doc = tmp_path / "doc.txt"
+        doc.write_text(RECORDS[0].source)
+        assert main(["summarize", "--model", str(out),
+                     "--input", str(doc)]) == 0
 
     def test_loss_log_holds_the_last_run_only(self, tmp_path, data_path,
                                               config_path):
@@ -803,46 +824,54 @@ def trained(tmp_path_factory):
     out = root / "run"
     assert main(["train", "--data", str(data), "--out", str(out),
                  "--config", str(config), "--seed", "0"]) == 0
-    return root, str(out / "model.ckpt"), str(out / "vocab.txt"), str(data)
+    return root, str(out), str(data)
+
+
+@pytest.fixture
+def no_model_loading(monkeypatch):
+    """Fail the test if the command loads the model: a bad input that costs
+    no checkpoint read must fail first."""
+    def no_loading(directory):
+        raise AssertionError("loaded the model before checking the input")
+
+    monkeypatch.setattr(cli, "_load_model", no_loading)
 
 
 class TestCliSummarize:
     def test_overfit_source_reproduced_verbatim(self, trained, tmp_path,
                                                 capsys):
-        root, ckpt, vocab, _ = trained
+        root, run, _ = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
-        code = main(["summarize", "--ckpt", ckpt, "--vocab", vocab,
-                     "--input", str(doc)])
+        code = main(["summarize", "--model", run, "--input", str(doc)])
         assert code == 0
         assert capsys.readouterr().out.strip() == RECORDS[0].summary
 
     def test_stdin_input(self, trained, capsys, monkeypatch):
         import io
-        _, ckpt, vocab, _ = trained
+        _, run, _ = trained
         monkeypatch.setattr("sys.stdin", io.StringIO(RECORDS[1].source))
-        assert main(["summarize", "--ckpt", ckpt, "--vocab", vocab,
-                     "--input", "-"]) == 0
+        assert main(["summarize", "--model", run, "--input", "-"]) == 0
         assert capsys.readouterr().out.strip() == RECORDS[1].summary
 
     def test_max_len_one(self, trained, tmp_path, capsys):
-        _, ckpt, vocab, _ = trained
+        _, run, _ = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
-        main(["summarize", "--ckpt", ckpt, "--vocab", vocab,
-              "--input", str(doc), "--max-len", "1"])
+        main(["summarize", "--model", run, "--input", str(doc),
+              "--max-len", "1"])
         out = capsys.readouterr().out.strip()
         assert len(out.split()) <= 1
 
     def test_beam_1_matches_greedy(self, trained, tmp_path, capsys):
         # --beam 1 decodes greedily; beam search of width 1 gives the same
-        _, ckpt, vocab_path, _ = trained
+        _, run, _ = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
-        main(["summarize", "--ckpt", ckpt, "--vocab", vocab_path,
-              "--input", str(doc), "--beam", "1"])
-        params, cfg = load_checkpoint(ckpt)
-        vocab = Vocabulary.load(vocab_path)
+        main(["summarize", "--model", run, "--input", str(doc),
+              "--beam", "1"])
+        params, cfg = load_checkpoint(os.path.join(run, "model.ckpt"))
+        vocab = Vocabulary.load(os.path.join(run, "vocab.txt"))
         ids, ext, oov = encode_source(RECORDS[0].source, vocab)
         hyp = beam_decode(params, ids, ext, len(oov), cfg,
                           DecodeConfig(beam_width=1))
@@ -857,43 +886,78 @@ class TestCliSummarize:
     ])
     def test_bad_decode_setting_is_one_error_line(self, trained, tmp_path,
                                                   capsys, flags, message):
-        _, ckpt, vocab, data = trained
+        _, run, data = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
         for command in (["summarize", "--input", str(doc)],
                         ["evaluate", "--data", data]):
-            code = main(command + ["--ckpt", ckpt, "--vocab", vocab] + flags)
+            code = main(command + ["--model", run] + flags)
             captured = capsys.readouterr()
             assert code == 1
             assert captured.err == "error: %s\n" % message
             assert captured.out == ""
 
     def test_beam_above_maximum_fails_before_loading(
-            self, trained, tmp_path, capsys, monkeypatch):
-        _, ckpt, vocab, data = trained
+            self, trained, tmp_path, capsys, no_model_loading):
+        _, run, data = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(RECORDS[0].source)
         DecodeConfig(beam_width=DecodeConfig.MAX_BEAM_WIDTH)
-
-        def no_loading(args):
-            raise AssertionError("loaded the model before checking --beam")
-
-        monkeypatch.setattr("pointer_gpt.cli._load_model", no_loading)
         beam = str(DecodeConfig.MAX_BEAM_WIDTH + 1)
         for command in (["summarize", "--input", str(doc)],
                         ["evaluate", "--data", data]):
-            code = main(command + ["--ckpt", ckpt, "--vocab", vocab,
-                                   "--beam", beam])
+            code = main(command + ["--model", run, "--beam", beam])
             captured = capsys.readouterr()
             assert code == 1
             assert captured.err == "error: beam_width must be <= %d\n" % (
                 DecodeConfig.MAX_BEAM_WIDTH)
             assert captured.out == ""
 
+    @pytest.mark.parametrize("case, kept, named", [
+        ("missing", None, "vocab.txt"),
+        ("file", None, "vocab.txt"),
+        ("no-ckpt", "vocab.txt", "model.ckpt"),
+        ("no-vocab", "model.ckpt", "vocab.txt"),
+    ])
+    def test_incomplete_model_directory_is_one_error_line(
+            self, trained, tmp_path, capsys, case, kept, named):
+        _, run, data = trained
+        model = tmp_path / "model"
+        if case == "file":
+            model.write_text("a file, not a directory")
+        elif kept is not None:
+            model.mkdir()
+            shutil.copy(os.path.join(run, kept), model / kept)
+        doc = tmp_path / "doc.txt"
+        doc.write_text(RECORDS[0].source)
+        for command in (["summarize", "--input", str(doc)],
+                        ["evaluate", "--data", data]):
+            code = main(command + ["--model", str(model)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err.startswith("error: ")
+            assert len(captured.err.splitlines()) == 1
+            assert repr(str(model / named)) in captured.err
+            assert captured.out == ""
+
+    def test_missing_input_fails_before_loading(self, trained, tmp_path,
+                                                capsys, no_model_loading):
+        _, run, _ = trained
+        missing = tmp_path / "missing.txt"
+        for command in (["summarize", "--input", str(missing)],
+                        ["evaluate", "--data", str(missing)]):
+            code = main(command + ["--model", run])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == (
+                "error: [Errno 2] No such file or directory: %r\n"
+                % str(missing))
+            assert captured.out == ""
+
     @pytest.mark.parametrize("text", ["", " \n\t "], ids=["empty", "blank"])
     def test_empty_source_is_one_error_line(self, trained, tmp_path, capsys,
-                                            text):
-        _, ckpt, vocab, _ = trained
+                                            text, no_model_loading):
+        _, run, _ = trained
         doc = tmp_path / "doc.txt"
         doc.write_text(text)
         data = tmp_path / "data.jsonl"
@@ -901,7 +965,7 @@ class TestCliSummarize:
         for command, where in (
                 (["summarize", "--input", str(doc)], "input %s" % doc),
                 (["evaluate", "--data", str(data)], 'line 1: field "source"')):
-            code = main(command + ["--ckpt", ckpt, "--vocab", vocab])
+            code = main(command + ["--model", run])
             captured = capsys.readouterr()
             assert code == 1
             assert captured.err == (
@@ -909,31 +973,34 @@ class TestCliSummarize:
             assert captured.out == ""
 
     def test_vocab_mismatch_rejected(self, trained, tmp_path, capsys):
-        _, ckpt, _, _ = trained
-        bad = tmp_path / "vocab.txt"
-        Vocabulary(["only", "three", "words"]).save(str(bad))
+        # the other vocabulary goes into a copy of the run directory
+        _, run, _ = trained
+        copy = tmp_path / "run"
+        copy.mkdir()
+        shutil.copy(os.path.join(run, "model.ckpt"), copy / "model.ckpt")
+        Vocabulary(["only", "three", "words"]).save(str(copy / "vocab.txt"))
         doc = tmp_path / "doc.txt"
         doc.write_text("hello")
-        assert main(["summarize", "--ckpt", ckpt, "--vocab", str(bad),
+        assert main(["summarize", "--model", str(copy),
                      "--input", str(doc)]) == 1
         assert "does not match" in capsys.readouterr().err
 
 
 class TestCliEvaluate:
     def test_overfit_model_scores_all_ones(self, trained, capsys):
-        _, ckpt, vocab, data = trained
-        assert main(["evaluate", "--ckpt", ckpt, "--vocab", vocab,
-                     "--data", data]) == 0
+        _, run, data = trained
+        assert main(["evaluate", "--model", run, "--data", data]) == 0
         assert capsys.readouterr().out.count("1.0000") == 6
 
-    def test_empty_dataset_rejected(self, trained, tmp_path, capsys):
+    def test_empty_dataset_rejected(self, trained, tmp_path, capsys,
+                                    no_model_loading):
         # one rule in load_dataset serves every command that reads a dataset
-        _, ckpt, vocab, _ = trained
+        _, run, _ = trained
         data = tmp_path / "data.jsonl"
         for text in ("", "\n \n\t\n"):
             data.write_text(text)
             for command in (["train", "--out", str(tmp_path / "o")],
-                            ["evaluate", "--ckpt", ckpt, "--vocab", vocab],
+                            ["evaluate", "--model", run],
                             ["compare"]):
                 code = main(command + ["--data", str(data)])
                 captured = capsys.readouterr()
@@ -942,8 +1009,8 @@ class TestCliEvaluate:
                 assert captured.out == ""
 
     def test_report_table_layout(self, trained, capsys):
-        _, ckpt, vocab, data = trained
-        main(["evaluate", "--ckpt", ckpt, "--vocab", vocab, "--data", data])
+        _, run, data = trained
+        main(["evaluate", "--model", run, "--data", data])
         lines = capsys.readouterr().out.splitlines()
         header = lines[0]
         for col in ("Algorithm", "Evaluation metric", "Precision",
@@ -1018,10 +1085,12 @@ class TestDeeplyNestedJson:
         deep = tmp_path / "deep"
         deep.write_bytes(b"[" * 100000)
         if target == "checkpoint":
-            deep.write_bytes(MAGIC + struct.pack("<II", VERSION, 100000)
-                             + b"[" * 100000)
-            argv = ["summarize", "--ckpt", str(deep), "--vocab",
-                    str(tmp_path / "vocab.txt"), "--input", data_path]
+            model = tmp_path / "model"
+            model.mkdir()
+            (model / "model.ckpt").write_bytes(
+                MAGIC + struct.pack("<II", VERSION, 100000) + b"[" * 100000)
+            Vocabulary(["a"]).save(str(model / "vocab.txt"))
+            argv = ["summarize", "--model", str(model), "--input", data_path]
         else:
             argv = ["train", "--out", str(tmp_path / "o"),
                     "--data", data_path if target == "config" else str(deep),
@@ -1062,17 +1131,43 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
-def test_readme_documents_every_command_line_flag():
+def readme_command_line_section():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = re.search(r"^## Command line\n(.*?)^## ", readme,
-                        re.S | re.M).group(1)
+    return re.search(r"^## Command line\n(.*?)^## ", readme,
+                     re.S | re.M).group(1)
+
+
+def parser_flags():
+    """(subcommand, flag) for every option but help."""
     subparsers, = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
+    return [(command, flag)
+            for command, parser in subparsers.choices.items()
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings]
+
+
+def test_readme_documents_every_command_line_flag():
+    section = readme_command_line_section()
     missing = ["%s %s" % (command, flag)
-               for command, parser in subparsers.choices.items()
-               for action in parser._actions
-               if not isinstance(action, argparse._HelpAction)
-               for flag in action.option_strings
+               for command, flag in parser_flags()
                if not re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(flag),
                                 section)]
     assert missing == []
+
+
+def flags_no_subcommand_has(section):
+    known = {flag for _, flag in parser_flags()}
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+                  - known)
+
+
+def test_readme_names_only_flags_the_parser_has():
+    assert flags_no_subcommand_has(readme_command_line_section()) == []
+
+
+def test_a_removed_flag_left_in_the_readme_is_caught():
+    # mutation control: the README still showing the old checkpoint flag
+    section = readme_command_line_section() + "--ckpt run/model.ckpt\n"
+    assert flags_no_subcommand_has(section) == ["--ckpt"]

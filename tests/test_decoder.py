@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 precondition, rule,
+                                 run_state_machine_as_test)
 
 from pointer_gpt.decoder import (
     DecodeConfig, beam_search, greedy_decode, make_step_fn, max_steps_within,
@@ -347,18 +351,29 @@ def batch_mismatches(seeds):
     return bad
 
 
+def off_by_one_mask(t_len, dtype, t_past):
+    """Mutant of model._causal_mask: with a cache, the new row no longer
+    sees itself."""
+    k = t_past if t_past else 1
+    return np.triu(np.full((t_len, t_past + t_len), NEG_INF, dtype=dtype),
+                   k=k)
+
+
+def rolled_forward_hidden(params, ids, config, cache=None, **kwargs):
+    """Mutant of decoder.forward_hidden: each row extends its neighbour's
+    cache."""
+    if cache:
+        cache[:] = [tuple(np.roll(a, 1, axis=0) for a in kv) for kv in cache]
+    return forward_hidden(params, ids, config, cache=cache, **kwargs)
+
+
 class TestIncrementalDecoding:
     def test_cached_matches_full_prefix_on_20_models(self):
         assert cached_mismatches(range(20)) == []
 
     def test_mask_offset_off_by_one_is_caught(self, monkeypatch):
         # mutation control: with a cache, the new row no longer sees itself
-        def off_by_one(t_len, dtype, t_past):
-            k = t_past if t_past else 1
-            return np.triu(np.full((t_len, t_past + t_len), NEG_INF,
-                                   dtype=dtype), k=k)
-
-        monkeypatch.setattr(model, "_causal_mask", off_by_one)
+        monkeypatch.setattr(model, "_causal_mask", off_by_one_mask)
         assert len(cached_mismatches(range(20))) == 40
 
     def test_batched_step_matches_single_prefix_calls_on_20_models(self):
@@ -366,13 +381,7 @@ class TestIncrementalDecoding:
 
     def test_wrong_parent_cache_is_caught(self, monkeypatch):
         # mutation control: each hypothesis extends its neighbour's cache
-        def rolled(params, ids, config, cache=None, **kwargs):
-            if cache:
-                cache[:] = [tuple(np.roll(a, 1, axis=0) for a in kv)
-                            for kv in cache]
-            return forward_hidden(params, ids, config, cache=cache, **kwargs)
-
-        monkeypatch.setattr(decoder, "forward_hidden", rolled)
+        monkeypatch.setattr(decoder, "forward_hidden", rolled_forward_hidden)
         assert len(batch_mismatches(range(20))) == 40
 
     def test_beam_runs_one_forward_per_step(self, monkeypatch):
@@ -422,6 +431,115 @@ class TestIncrementalDecoding:
             assert greedy.ids == greedy_search(fresh(), 6).ids
             assert beam.ids == beam_search(fresh(), 6, beam_width=4).ids
             np.testing.assert_array_equal(step_fn([()]), fresh()([()]))
+
+
+class StepFnContract(RuleBasedStateMachine):
+    """Drives a step_fn with every kind of call its contract allows: extend
+    any multiset of the live prefixes, in any order, by one id each; repeat
+    them; restart at [()]. Every returned row must match an uncached
+    forward of the whole prefix within 1e-6, the bound of
+    cached_mismatches. A call the contract forbids must raise
+    ContractError and leave the live prefixes to build on."""
+    make_step_fn = staticmethod(make_step_fn)
+
+    @initialize(seed=st.integers(0, 19), oov_count=st.integers(0, 1))
+    def start(self, seed, oov_count):
+        params, src, oov_ext, cfg = criterion_9_model(seed)
+        ext = oov_ext if oov_count else src
+        self.reference = full_prefix_step_fn(params, src, ext, oov_count,
+                                             cfg)
+        self.reference_rows = {}
+        self.step_fn = self.make_step_fn(params, src, ext, oov_count, cfg)
+        self.n_ids = cfg.vocab_size + oov_count
+        self.ids = st.integers(0, self.n_ids - 1)
+        # the longest prefix a search of max_steps_within steps feeds
+        self.max_len = max_steps_within(cfg, len(src), cfg.max_seq_len) - 1
+        self.call([()])
+
+    def call(self, prefixes):
+        rows = self.step_fn(prefixes)
+        assert len(rows) == len(prefixes)
+        for prefix, row in zip(prefixes, rows):
+            if prefix not in self.reference_rows:
+                self.reference_rows[prefix] = self.reference(prefix)
+            gap = np.abs(row - self.reference_rows[prefix]).max()
+            assert gap <= 1e-6, "row for %s is off by %g" % (prefix, gap)
+        self.live = list(prefixes)
+
+    @precondition(lambda self: len(self.live[0]) < self.max_len)
+    @rule(data=st.data())
+    def extend(self, data):
+        rows = range(len(self.live))
+        parents = data.draw(st.one_of(
+            st.lists(st.sampled_from(rows), min_size=1, max_size=4),
+            st.permutations(rows)))  # the live rows in another order
+        ids = data.draw(st.lists(self.ids, min_size=len(parents),
+                                 max_size=len(parents)))
+        self.call([self.live[j] + (i,) for j, i in zip(parents, ids)])
+
+    @rule()
+    def repeat(self):
+        self.call(self.live)
+
+    @rule()
+    def restart(self):
+        self.call([()])
+
+    @rule(data=st.data())
+    def illegal(self, data):
+        prefix = data.draw(st.sampled_from(self.live))
+        a, b = data.draw(st.tuples(self.ids, self.ids))
+        calls = [[], [(), ()], [(), prefix + (a,)], [prefix + (a, b)],
+                 [prefix + (a,), prefix + (a, b)]]
+        if prefix:  # extends a parent that is not live: n_ids is no id
+            calls.append([(self.n_ids,) * len(prefix) + (a,)])
+        if len(prefix) > 1:  # one id shorter; [()] would be the restart
+            calls.append([prefix[:-1]])
+        with pytest.raises(ContractError):
+            self.step_fn(data.draw(st.sampled_from(calls)))
+        self.call(self.live)
+
+
+def run_step_fn_contract(machine=StepFnContract, phases=tuple(Phase)):
+    run_state_machine_as_test(machine, settings=settings(
+        derandomize=True, database=None, deadline=None, max_examples=40,
+        stateful_step_count=30, phases=phases, report_multiple_bugs=False))
+
+
+def skip_gather_on_permutation():
+    """Mutant of make_step_fn: when the new prefixes' parents are the live
+    rows in another order, the rows keep their old order."""
+    source = inspect.getsource(decoder.make_step_fn)
+    gather = "cache = [(k[parents], vv[parents]) for k, vv in cache]"
+    assert source.count(gather) == 1
+    namespace = dict(vars(decoder))
+    exec(source.replace(gather, "if sorted(parents) != list(range(len("
+                        "live))): " + gather), namespace)
+    return namespace["make_step_fn"]
+
+
+class TestStepFnContract:
+    def test_every_call_sequence_matches_the_full_prefix_forward(self):
+        run_step_fn_contract()
+
+    # mutation controls: each wrong cache fails the machine (its search
+    # stops at the first failure, unshrunk)
+    def test_mask_offset_off_by_one_fails(self, monkeypatch):
+        monkeypatch.setattr(model, "_causal_mask", off_by_one_mask)
+        with pytest.raises(AssertionError, match="is off by"):
+            run_step_fn_contract(phases=[Phase.generate])
+
+    def test_rolled_parent_cache_fails(self, monkeypatch):
+        monkeypatch.setattr(decoder, "forward_hidden", rolled_forward_hidden)
+        with pytest.raises(AssertionError, match="is off by"):
+            run_step_fn_contract(phases=[Phase.generate])
+
+    def test_skipped_gather_on_a_permutation_fails(self):
+        class Mutant(StepFnContract):
+            make_step_fn = staticmethod(skip_gather_on_permutation())
+
+        with pytest.raises(AssertionError, match="is off by"):
+            run_step_fn_contract(Mutant, phases=[Phase.generate])
 
 
 def same_as_full_length(make_step_fn, max_len, k):
