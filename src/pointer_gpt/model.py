@@ -36,7 +36,7 @@ class ModelConfig:
     d_ff: int = 128
     max_seq_len: int = 64
     seed: int = 0
-    baseline: bool = False  # gate frozen at p_gen = 1 (no copying)
+    baseline: bool = False  # no gate: p_gen = 1 (no copying)
 
     def __post_init__(self):
         # every special token needs an embedding row; SEP is fed on every input
@@ -60,8 +60,8 @@ class ModelConfig:
 
 
 def param_specs(config):
-    """{name: (shape, init)} in checkpoint manifest order; init is "normal"
-    (N(0, 0.02)), "zeros" or "ones"."""
+    """{name: (shape, init)} in checkpoint payload order; init is "normal"
+    (N(0, 0.02)), "zeros" or "ones". The baseline has no gate."""
     d, v, f = config.d_model, config.vocab_size, config.d_ff
     specs = {"tok_emb": ((v, d), "normal"),
              "pos_emb": ((config.max_seq_len, d), "normal")}
@@ -82,9 +82,10 @@ def param_specs(config):
     specs["ln_f.bias"] = ((d,), "zeros")
     specs["w_vocab"] = ((d, v), "normal")
     specs["ptr.w"] = ((d, d), "normal")
-    specs["gate.w_h"] = ((d, 1), "normal")
-    specs["gate.w_c"] = ((d, 1), "normal")
-    specs["gate.b"] = ((1, 1), "zeros")
+    if not config.baseline:
+        specs["gate.w_h"] = ((d, 1), "normal")
+        specs["gate.w_c"] = ((d, 1), "normal")
+        specs["gate.b"] = ((1, 1), "zeros")
     return specs
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .tensor import require_int
 
@@ -81,8 +81,8 @@ class EncodedExample:
 
     source_ids: list
     source_ext_ids: list
-    oov: list = field(default_factory=list)  # first-occurrence order
-    target_ext_ids: list = field(default_factory=list)
+    oov: list  # first-occurrence order
+    target_ext_ids: list
 
 
 def encode_source(source, vocab):

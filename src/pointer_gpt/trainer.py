@@ -68,10 +68,8 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                         "non-finite loss at step %d (examples %s)"
                         % (step, batch.tolist()))
                 grads = backward(tape, batch_loss)
-                # the frozen baseline gate is never reached: its grad is zero
-                grads = [grads[p] if p in grads else np.zeros_like(p.data)
-                         for p in tensors]
-                grads, _norm = clip_grad_norm(grads, MAX_GRAD_NORM)
+                grads, _norm = clip_grad_norm([grads[p] for p in tensors],
+                                              MAX_GRAD_NORM)
                 step += 1
                 adam_step(tensors, grads, moments, step, tcfg)
                 report.losses.append(value)

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -22,7 +23,9 @@ from pointer_gpt.cli import CONFIG_SECTIONS, main, run_compare
 from pointer_gpt.data import (DatasetError, DatasetRecord, load_dataset,
                               marker_pool, save_dataset, split_by_index,
                               synthetic_copy_task)
-from pointer_gpt.model import ModelConfig, init_params, sequence_loss
+from pointer_gpt.model import (ModelConfig, init_params, param_specs,
+                               sequence_loss)
+from pointer_gpt.tensor import Tensor
 from pointer_gpt.decoder import DecodeConfig, beam_decode
 from pointer_gpt.tokenizer import (Vocabulary, decode, encode_example,
                                    encode_source)
@@ -119,12 +122,8 @@ def tiny_model():
 # strings, null, lists and objects
 POOL = [0, 1, 8, -4, 10 ** 9, 0.5, 1.0, 8.0, float("nan"), True, False, "",
         "tok_emb", None, [], [8, 8], {}, {"name": "tok_emb"}]
-EDITS = st.one_of(
-    st.tuples(st.just("config"), st.sampled_from(
-        [f.name for f in dataclasses.fields(ModelConfig)])),
-    st.tuples(st.sampled_from(["name", "shape", "offset"]),
-              st.integers(0, 24)),  # the 25 entries of a 1-layer model
-    st.tuples(st.just("element"), st.integers(0, 24), st.integers(0, 1)))
+CONFIG_KEYS = st.sampled_from([f.name
+                               for f in dataclasses.fields(ModelConfig)])
 
 # `train` inputs for the property test: a tiny model, edited by up to two
 # config entries, on a good record and up to two more dataset lines
@@ -238,105 +237,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
-    def _rewrite(self, path, edit_manifest=None, payload_suffix=b"",
-                 config=None):
-        """Re-save the checkpoint at path with its manifest edited and the
-        config entries in `config` replaced."""
+    def _rewrite(self, path, payload_suffix=b"", config=None):
+        """Re-save the checkpoint at path with the config entries in
+        `config` replaced and `payload_suffix` appended."""
         blob = open(path, "rb").read()
         (header_len,) = struct.unpack_from("<I", blob, 8)
         header = json.loads(blob[12:12 + header_len])
-        if edit_manifest:
-            edit_manifest(header["manifest"])
         header["config"].update(config or {})
         raw = json.dumps(header).encode("utf-8")
         open(path, "wb").write(blob[:8] + struct.pack("<I", len(raw)) + raw
                                + blob[12 + header_len:] + payload_suffix)
 
-    # tiny_model's manifest entries as `load_checkpoint` prints them
-    TOK_EMB = '{"name": "tok_emb", "offset": 0, "shape": [12, 16]}'
-    POS_EMB = '{"name": "pos_emb", "offset": 768, "shape": [16, 16]}'
-    GATE_B = '{"name": "gate.b", "offset": 12736, "shape": [1, 1]}'
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda m: m.pop(), "entry 24: stored nothing, expected " + GATE_B),
-        (lambda m: m.append({"name": "extra", "shape": [1], "offset": 0}),
-         'entry 25: stored {"name": "extra", "offset": 0, "shape": [1]}, '
-         "expected nothing"),
-        (lambda m: m.__setitem__(-1, dict(m[-2])),
-         'entry 24: stored {"name": "gate.w_c", "offset": 12672, '
-         '"shape": [16, 1]}, expected ' + GATE_B),
-        # same element count, so the payload length alone cannot catch it
-        (lambda m: m[0].__setitem__("shape", m[0]["shape"][::-1]),
-         'entry 0: stored {"name": "tok_emb", "offset": 0, '
-         '"shape": [16, 12]}, expected ' + TOK_EMB),
-        (lambda m: m[0].pop("offset"),
-         'entry 0: stored {"name": "tok_emb", "shape": [12, 16]}, '
-         "expected " + TOK_EMB),
-        (lambda m: m[1].pop("name"),
-         'entry 1: stored {"offset": 768, "shape": [16, 16]}, '
-         "expected " + POS_EMB),
-        (lambda m: m.insert(0, m.pop(1)),
-         "entry 0: stored " + POS_EMB + ", expected " + TOK_EMB),
-        (lambda m: m.__setitem__(0, "tok_emb"),
-         'entry 0: stored "tok_emb", expected ' + TOK_EMB),
-        (lambda m: m[0].__setitem__("offset", -4),
-         'entry 0: stored {"name": "tok_emb", "offset": -4, '
-         '"shape": [12, 16]}, expected ' + TOK_EMB),
-        # pos_emb would start inside tok_emb
-        (lambda m: m[1].__setitem__("offset", 4),
-         'entry 1: stored {"name": "pos_emb", "offset": 4, '
-         '"shape": [16, 16]}, expected ' + POS_EMB),
-        # four unread bytes before the last tensor
-        (lambda m: m[-1].__setitem__("offset", m[-1]["offset"] + 4),
-         'entry 24: stored {"name": "gate.b", "offset": 12740, '
-         '"shape": [1, 1]}, expected ' + GATE_B),
-        (lambda m: m[0].__setitem__("offset", 0.5),
-         'entry 0: stored {"name": "tok_emb", "offset": 0.5, '
-         '"shape": [12, 16]}, expected ' + TOK_EMB),
-        # equal to the spec shape in value, but not integers
-        (lambda m: m[0].__setitem__("shape",
-                                    [float(n) for n in m[0]["shape"]]),
-         'entry 0: stored {"name": "tok_emb", "offset": 0, '
-         '"shape": [12.0, 16.0]}, expected ' + TOK_EMB),
-        (lambda m: m[-3]["shape"].__setitem__(1, True),
-         'entry 22: stored {"name": "gate.w_h", "offset": 12608, '
-         '"shape": [16, true]}, expected {"name": "gate.w_h", '
-         '"offset": 12608, "shape": [16, 1]}'),
-    ], ids=["missing", "extra", "duplicate", "misshaped", "no-offset",
-            "no-name", "swapped", "not-a-dict", "negative-offset", "overlap",
-            "gap", "float-offset", "float-shape", "bool-shape"])
-    def test_manifest_must_match_param_specs(self, tmp_path, edit, message):
-        params, cfg = tiny_model()
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(params, cfg, path)
-        self._rewrite(path, edit)
-        with pytest.raises(CheckpointError, match=re.escape(message)):
-            load_checkpoint(path)
-
-    def test_manifest_keys_may_come_in_any_order(self, tmp_path):
-        # the rule compares values, not the header's bytes
-        params, cfg = tiny_model()
-        path = str(tmp_path / "m.ckpt")
-        save_checkpoint(params, cfg, path)
-        self._rewrite(path, lambda m: m.__setitem__(
-            slice(None), [dict(reversed(e.items())) for e in m]))
-        loaded, _ = load_checkpoint(path)
-        for name in params:
-            assert np.array_equal(loaded[name].data, params[name].data)
-
-    @pytest.mark.parametrize("manifest", [{}, {"0": {}}, "tok_emb", 3, None])
-    def test_manifest_must_be_a_list(self, tmp_path, manifest):
-        _, cfg = tiny_model()
-        header = json.dumps({"config": dataclasses.asdict(cfg),
-                             "manifest": manifest}).encode("utf-8")
-        path = tmp_path / "m.ckpt"
-        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
-                         + header)
-        with pytest.raises(CheckpointError, match="manifest is not a list"):
-            load_checkpoint(str(path))
-
-    def test_layer_count_is_bounded_by_the_manifest(self, tmp_path,
-                                                    monkeypatch):
+    def test_layer_count_is_bounded_by_the_header(self, tmp_path,
+                                                  monkeypatch):
         # param_specs loops over n_layers: a header must not make it run
         def unbounded(config):
             raise AssertionError("param_specs ran for %d layers"
@@ -378,11 +291,11 @@ class TestCheckpoint:
         params, cfg = tiny_model()
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(params, cfg, path)
-        self._rewrite(path, lambda m: m.pop())
+        self._rewrite(path, payload_suffix=b"\x00" * 4)
         code, err = self._summarize(path, tmp_path, capsys)
         assert code == 1
         assert err.startswith("error: ")
-        assert "entry 24: stored nothing, expected " + self.GATE_B in err
+        assert "payload has 12744 bytes, expected 12740" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("config, message", [
@@ -417,6 +330,54 @@ class TestCheckpoint:
         assert err == ("error: checkpoint format version 1 is not supported "
                        "(expected %d)\n" % VERSION)
 
+    def test_version_2_checkpoint_is_one_error_line(self, tmp_path, capsys):
+        # version 2 headers held a manifest: each tensor's name, shape and
+        # byte offset, all of which the config fixes
+        params, cfg = tiny_model()
+        manifest, offset = [], 0
+        for name, tensor in params.items():
+            manifest.append({"name": name, "shape": list(tensor.shape),
+                             "offset": offset})
+            offset += 4 * tensor.data.size
+        header = json.dumps({"config": dataclasses.asdict(cfg),
+                             "manifest": manifest}).encode("utf-8")
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", 2, len(header)) + header
+                         + b"".join(np.ascontiguousarray(t.data, dtype="<f4")
+                                    .tobytes() for t in params.values()))
+        code, err = self._summarize(str(path), tmp_path, capsys)
+        assert code == 1
+        assert err == ("error: checkpoint format version 2 is not supported "
+                       "(expected 3)\n")
+
+    # sha256 of the file save_checkpoint writes for LAYOUT_CFG's params
+    LAYOUT_CFG = ModelConfig(vocab_size=6, d_model=4, n_heads=2, n_layers=1,
+                             d_ff=8, max_seq_len=8)
+    LAYOUT_SHA256 = ("09961da2079256833e861c90845882a7"
+                     "8c6af17776513daacd345d354703cee9")
+
+    def test_file_layout_is_pinned(self, tmp_path):
+        # each tensor's values follow from its name alone, so a param_specs
+        # change moves bytes even where every shape stays the same
+        cfg = self.LAYOUT_CFG
+        specs = param_specs(cfg)
+        names = sorted(specs)
+        params = {name: Tensor(1000 * names.index(name)
+                               + np.arange(np.prod(shape)).reshape(shape),
+                               dtype=np.float32)
+                  for name, (shape, _) in specs.items()}
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, str(path))
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == self.LAYOUT_SHA256), (
+            "the checkpoint bytes changed: files of the old layout would "
+            "load wrongly, so bump checkpoint.VERSION and this digest "
+            "together")
+        loaded, loaded_cfg = load_checkpoint(str(path))
+        assert loaded_cfg == cfg and list(loaded) == list(params)
+        for name, tensor in params.items():
+            assert loaded[name].data.tobytes() == tensor.data.tobytes()
+
     # the model both property tests run `summarize` on
     PROPERTY_CFG = ModelConfig(vocab_size=12, d_model=8, n_heads=2,
                                n_layers=1, d_ff=16, max_seq_len=16, seed=0)
@@ -424,28 +385,14 @@ class TestCheckpoint:
     @settings(derandomize=True, deadline=None, max_examples=100,
               database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(edit=EDITS, value=st.sampled_from(POOL))
-    # each of these crashed or ran away before the manifest rules
-    @example(edit=("element", 0, 1), value=8.0)  # tok_emb
-    @example(edit=("element", 22, 1), value=True)  # gate.w_h
-    @example(edit=("config", "n_layers"), value=10 ** 9)
+    @given(key=CONFIG_KEYS, value=st.sampled_from(POOL))
+    @example(key="n_layers", value=10 ** 9)  # once ran away in param_specs
     def test_any_header_edit_works_or_fails_in_one_line(self, tmp_path,
-                                                        capsys, edit, value):
+                                                        capsys, key, value):
         cfg = self.PROPERTY_CFG
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(init_params(cfg), cfg, path)
-
-        def edit_manifest(m):
-            if edit[0] == "element":
-                shape = m[edit[1]]["shape"]
-                shape[edit[2] % len(shape)] = value
-            else:
-                m[edit[1]][edit[0]] = value
-
-        if edit[0] == "config":
-            self._rewrite(path, config={edit[1]: value})
-        else:
-            self._rewrite(path, edit_manifest)
+        self._rewrite(path, config={key: value})
         code, err = self._summarize(path, tmp_path, capsys)
         assert code == 0 or (code == 1 and len(err.splitlines()) == 1
                              and err.startswith("error:")), err
@@ -496,18 +443,14 @@ class TestCheckpoint:
         assert len(err.splitlines()) == 1
 
     def test_vocab_size_below_the_special_tokens(self, tmp_path):
-        # manifest and payload match vocab_size -1, so only ModelConfig stops
-        # np.frombuffer from reading -1 rows, which it takes as "to the end"
-        params, cfg = tiny_model()
-        manifest, total = checkpoint.build_manifest(
-            (name, [-1 if n == cfg.vocab_size else n for n in p.data.shape])
-            for name, p in params.items())
+        # only ModelConfig stops it: param_specs would build shapes with -1
+        # rows, which numpy takes as "the rest"
+        _, cfg = tiny_model()
         header = json.dumps({"config": dict(dataclasses.asdict(cfg),
-                                            vocab_size=-1),
-                             "manifest": manifest}).encode("utf-8")
+                                            vocab_size=-1)}).encode("utf-8")
         path = tmp_path / "m.ckpt"
         path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
-                         + header + b"\x00" * total)
+                         + header)
         with pytest.raises(CheckpointError,
                            match="vocab_size must be at least 5, got -1"):
             load_checkpoint(str(path))
