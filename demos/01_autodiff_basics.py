@@ -32,7 +32,7 @@ targets, weights = np.array([[5, 4, 1]]), np.full((1, 3), 1.0 / 3.0)
 
 def f(h_src, w, b, gain, bias, w_ptr, w_vocab, *gate):
     h_t = ops.layer_norm(ops.gelu(ops.linear(x, w, b)), gain, bias)
-    mixed, _, _ = ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate,
+    mixed, _, _ = ops.pointer_mixture(h_src, h_t, w_vocab, (w_ptr, *gate),
                                       col_mask, ext_ids, 6)
     return ops.nll(mixed, targets, weights)  # mean -log p(target)
 

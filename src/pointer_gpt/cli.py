@@ -191,7 +191,7 @@ def build_parser():
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true",
-                   help="no gate: p_gen=1 (no copying)")
+                   help="GPT: vocabulary softmax only, no pointer")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("summarize", help="summarize one document")

@@ -36,7 +36,7 @@ class ModelConfig:
     d_ff: int = 128
     max_seq_len: int = 64
     seed: int = 0
-    baseline: bool = False  # no gate: p_gen = 1 (no copying)
+    baseline: bool = False  # GPT: vocabulary softmax only, no pointer
 
     def __post_init__(self):
         # every special token needs an embedding row; SEP is fed on every input
@@ -61,7 +61,7 @@ class ModelConfig:
 
 def param_specs(config):
     """{name: (shape, init)} in checkpoint payload order; init is "normal"
-    (N(0, 0.02)), "zeros" or "ones". The baseline has no gate."""
+    (N(0, 0.02)), "zeros" or "ones". The baseline has no pointer."""
     d, v, f = config.d_model, config.vocab_size, config.d_ff
     specs = {"tok_emb": ((v, d), "normal"),
              "pos_emb": ((config.max_seq_len, d), "normal")}
@@ -81,8 +81,8 @@ def param_specs(config):
     specs["ln_f.gain"] = ((d,), "ones")
     specs["ln_f.bias"] = ((d,), "zeros")
     specs["w_vocab"] = ((d, v), "normal")
-    specs["ptr.w"] = ((d, d), "normal")
     if not config.baseline:
+        specs["ptr.w"] = ((d, d), "normal")
         specs["gate.w_h"] = ((d, 1), "normal")
         specs["gate.w_c"] = ((d, 1), "normal")
         specs["gate.b"] = ((1, 1), "zeros")
@@ -166,18 +166,17 @@ def pointer_head(params, h_src, h_t, ext_ids, col_mask, oov_count, config):
     next token is being predicted (the decoder side). Callers build the
     source arrays once per batch or document: ext_ids [B, S], the
     right-padded extended ids; col_mask [B, S], 0 on a source position and
-    NEG_INF on padding, in h_src's dtype.
-    """
-    gate = None if config.baseline else tuple(
-        params["gate." + name] for name in ("w_h", "b", "w_c"))
-    return ops.pointer_mixture(h_src, h_t, params["ptr.w"], params["w_vocab"],
-                               gate, col_mask, ext_ids,
+    NEG_INF on padding, in h_src's dtype."""
+    pointer = None if config.baseline else tuple(
+        params[name] for name in ("ptr.w", "gate.w_h", "gate.b", "gate.w_c"))
+    return ops.pointer_mixture(h_src, h_t, params["w_vocab"], pointer,
+                               col_mask, ext_ids,
                                config.vocab_size + oov_count)
 
 
 def pointer_step(params, hidden, step, source_ext_ids, oov_count, config):
-    """(mixed [V + oov_count], attn [S], p_gen float) at one position of
-    hidden [T, d]; generation requires step >= S = len(source_ext_ids)."""
+    """(mixed [V + oov_count], attn [S] or None (baseline), p_gen float) at
+    one position of hidden [T, d], for step >= S = len(source_ext_ids)."""
     s = len(source_ext_ids)
     if step < s:
         raise ContractError("pointer_step at %d precedes end of source %d"
@@ -186,7 +185,8 @@ def pointer_step(params, hidden, step, source_ext_ids, oov_count, config):
         params, ops.take_rows(hidden, [np.arange(s)]),
         ops.take_rows(hidden, [[step]]), [source_ext_ids],
         np.zeros((1, s), dtype=hidden.dtype), oov_count, config)
-    return mixed.data[0, 0], attn[0, 0], float(p_gen[0, 0, 0])
+    return (mixed.data[0, 0], None if attn is None else attn[0, 0],
+            float(p_gen[0, 0, 0]))
 
 
 def positions_needed(source_len, summary_len):

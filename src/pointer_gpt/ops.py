@@ -198,17 +198,17 @@ def causal_attention(q, k, v, mask, n_heads):
     return make_output(out, (q, k, v), bwd)
 
 
-def pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask, ext_ids,
-                    width):
-    """The pointer head as one tape record; returns (mixed, attn, p_gen).
+def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
+    """The output head as one tape record; returns (mixed, attn, p_gen).
 
-    attn = softmax(h_t @ w_ptr @ h_src^T + col_mask) for h_src [..., S, d],
-    h_t [..., N, d] and col_mask [..., S]; p_gen = sigmoid(h_t @ w_h + b +
-    (attn @ h_src) @ w_c) for gate (w_h, b, w_c), or 1 if gate is None.
-    mixed [..., N, width] is p_gen * softmax(h_t @ w_vocab) plus
-    (1 - p_gen) * attn[..., i] added at column ext_ids[..., i] (duplicates
-    accumulate). attn and p_gen are plain arrays, without a gradient."""
-    hs, ht, wp, wv = h_src.data, h_t.data, w_ptr.data, w_vocab.data
+    vocab = softmax(h_t @ w_vocab) for h_t [..., N, d]. With pointer None
+    (GPT), mixed [..., N, width] is vocab zero-padded, p_gen 1 and attn
+    None. With pointer (w_ptr, w_h, b, w_c), attn = softmax(h_t @ w_ptr @
+    h_src^T + col_mask) for h_src [..., S, d], col_mask [..., S]; p_gen =
+    sigmoid(h_t @ w_h + b + (attn @ h_src) @ w_c); mixed is p_gen * vocab
+    plus (1 - p_gen) * attn[..., i] added at column ext_ids[..., i]
+    (duplicates accumulate). attn and p_gen carry no gradient."""
+    hs, ht, wv = h_src.data, h_t.data, w_vocab.data
     ids = np.asarray(ext_ids, dtype=np.int64)
     if ht.shape[:-2] != hs.shape[:-2]:
         raise ShapeError("h_t %s vs h_src %s" % (ht.shape, hs.shape))
@@ -218,49 +218,49 @@ def pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask, ext_ids,
         raise ContractError("pointer_mixture needs a source position")
     if ids.size and (ids.min() < 0 or ids.max() >= width):
         raise ContractError("ext_ids out of range [0, %d)" % width)
+    vocab, n_vocab = _softmax(ht @ wv), wv.shape[-1]
+    out = np.zeros(vocab.shape[:-1] + (width,), dtype=vocab.dtype)
+    if pointer is None:
+        out[..., :n_vocab] = vocab
+
+        def vocab_bwd(g):
+            g_logits = _softmax_grad(g[..., :n_vocab], vocab)
+            return g_logits @ wv.swapaxes(-1, -2), _weight_grad(ht, g_logits)
+
+        return (make_output(out, (h_t, w_vocab), vocab_bwd), None,
+                np.ones(ht.shape[:-1] + (1,), dtype=ht.dtype))
+    wp, w_h, b, w_c = (t.data for t in pointer)
     a1, hs_t = ht @ wp, hs.swapaxes(-1, -2)
     attn = _softmax(a1 @ hs_t
                     + np.asarray(col_mask, dtype=hs.dtype)[..., None, :])
-    vocab = _softmax(ht @ wv)
-    p_gen = np.ones(ht.shape[:-1] + (1,), dtype=ht.dtype)
-    if gate is not None:
-        w_h, b, w_c = gate
-        context = attn @ hs
-        p_gen = 1.0 / (1.0 + np.exp(-(ht @ w_h.data + b.data
-                                      + context @ w_c.data)))
+    context = attn @ hs
+    p_gen = 1.0 / (1.0 + np.exp(-(ht @ w_h + b + context @ w_c)))
     cpl = 1.0 - p_gen
     key = _lead_index(attn.shape[:-2], ids.ndim + 1) + (
         np.arange(attn.shape[-2])[:, None], ids[..., None, :])
-    out = np.zeros(attn.shape[:-1] + (width,), dtype=attn.dtype)
     np.add.at(out, key, cpl * attn)
-    out[..., :wv.shape[-1]] += p_gen * vocab
+    out[..., :n_vocab] += p_gen * vocab
 
     # terms add up in the order of the op-by-op chain, so both round alike
     def bwd(g):
-        g_gen, g_copy = g[..., :wv.shape[-1]], g[key]
+        g_gen, g_copy = g[..., :n_vocab], g[key]
         g_logits = _softmax_grad(g_gen * p_gen, vocab)
-        g_ht = g_logits @ wv.swapaxes(-1, -2)
-        g_attn, g_gate = g_copy * cpl, ()
-        if gate is not None:
-            g_p = (_unbroadcast(g_gen * vocab, p_gen.shape)
-                   - _unbroadcast(g_copy * attn, cpl.shape))
-            g_logit = g_p * p_gen * (1.0 - p_gen)
-            g_context = g_logit @ w_c.data.swapaxes(-1, -2)
-            g_ht = g_logit @ w_h.data.swapaxes(-1, -2) + g_ht
-            g_attn = g_attn + g_context @ hs_t
-            g_gate = (_weight_grad(ht, g_logit),
-                      _unbroadcast(g_logit, b.data.shape),
-                      _weight_grad(context, g_logit))
-        g_scores = _softmax_grad(g_attn, attn)
+        g_p = (_unbroadcast(g_gen * vocab, p_gen.shape)
+               - _unbroadcast(g_copy * attn, cpl.shape))
+        g_logit = g_p * p_gen * (1.0 - p_gen)
+        g_context = g_logit @ w_c.swapaxes(-1, -2)
+        g_ht = (g_logit @ w_h.swapaxes(-1, -2)
+                + g_logits @ wv.swapaxes(-1, -2))
+        g_scores = _softmax_grad(g_copy * cpl + g_context @ hs_t, attn)
         g_a1 = g_scores @ hs
-        g_hs = (a1.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2)
-        if gate is not None:
-            g_hs = attn.swapaxes(-1, -2) @ g_context + g_hs
+        g_hs = (attn.swapaxes(-1, -2) @ g_context
+                + (a1.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
         return (g_hs, g_ht + g_a1 @ wp.swapaxes(-1, -2),
-                _weight_grad(ht, g_a1), _weight_grad(ht, g_logits)) + g_gate
+                _weight_grad(ht, g_logits), _weight_grad(ht, g_a1),
+                _weight_grad(ht, g_logit), _unbroadcast(g_logit, b.shape),
+                _weight_grad(context, g_logit))
 
-    inputs = (h_src, h_t, w_ptr, w_vocab) + (gate or ())
-    return make_output(out, inputs, bwd), attn, p_gen
+    return make_output(out, (h_src, h_t, w_vocab, *pointer), bwd), attn, p_gen
 
 
 def nll(probs, targets, weights):

@@ -350,16 +350,38 @@ class TestCheckpoint:
         assert err == ("error: checkpoint format version 2 is not supported "
                        "(expected 3)\n")
 
+    def test_old_baseline_layout_is_one_error_line(self, tmp_path, capsys):
+        # a baseline file from before ptr.w left the baseline holds the
+        # pointer model's tensors but the gate: d_model ** 2 floats too many
+        pointer, cfg = tiny_model()
+        cfg = dataclasses.replace(cfg, baseline=True)
+        tensors = [t for name, t in pointer.items()
+                   if not name.startswith("gate.")]
+        header = json.dumps({"config": dataclasses.asdict(cfg)}).encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", 3, len(header)) + header
+                         + b"".join(np.ascontiguousarray(t.data, dtype="<f4")
+                                    .tobytes() for t in tensors))
+        code, err = self._summarize(str(path), tmp_path, capsys)
+        total = 4 * sum(t.data.size for t in init_params(cfg).values())
+        assert code == 1
+        assert err == ("error: %s: payload has %d bytes, expected %d\n"
+                       % (tmp_path / "model" / "model.ckpt",
+                          total + 4 * cfg.d_model ** 2, total))
+
     # sha256 of the file save_checkpoint writes for LAYOUT_CFG's params
     LAYOUT_CFG = ModelConfig(vocab_size=6, d_model=4, n_heads=2, n_layers=1,
                              d_ff=8, max_seq_len=8)
-    LAYOUT_SHA256 = ("09961da2079256833e861c90845882a7"
-                     "8c6af17776513daacd345d354703cee9")
+    LAYOUT_SHA256 = {False: "09961da2079256833e861c90845882a7"
+                            "8c6af17776513daacd345d354703cee9",
+                     True: "189cf31a4f9368ae4004f98e1b2c6d29"
+                           "55884603ec473c9039f8fe0e38c084d8"}
 
-    def test_file_layout_is_pinned(self, tmp_path):
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_file_layout_is_pinned(self, tmp_path, baseline):
         # each tensor's values follow from its name alone, so a param_specs
         # change moves bytes even where every shape stays the same
-        cfg = self.LAYOUT_CFG
+        cfg = dataclasses.replace(self.LAYOUT_CFG, baseline=baseline)
         specs = param_specs(cfg)
         names = sorted(specs)
         params = {name: Tensor(1000 * names.index(name)
@@ -369,7 +391,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, cfg, str(path))
         assert (hashlib.sha256(path.read_bytes()).hexdigest()
-                == self.LAYOUT_SHA256), (
+                == self.LAYOUT_SHA256[baseline]), (
             "the checkpoint bytes changed: files of the old layout would "
             "load wrongly, so bump checkpoint.VERSION and this digest "
             "together")

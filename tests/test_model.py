@@ -387,19 +387,20 @@ def op_chain_nll(probs, targets, weights):
                               Tensor(weights[..., None]))), -1.0)
 
 
-def op_chain_pointer_mixture(h_src, h_t, w_ptr, w_vocab, gate, col_mask,
+def op_chain_pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask,
                              ext_ids, width):
+    if pointer is None:  # GPT: the vocabulary softmax alone
+        vocab_dist = softmax_rows(ops.matmul(h_t, w_vocab))
+        return (pad_cols(vocab_dist, width - vocab_dist.shape[-1]), None,
+                np.ones(h_t.shape[:-1] + (1,), dtype=h_t.dtype))
+    w_ptr, w_h, b, w_c = pointer
     scores = ops.matmul(ops.matmul(h_t, w_ptr), ops.transpose(h_src))
     attn = softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
                                                dtype=h_src.dtype)))
     context = ops.matmul(attn, h_src)
     vocab_dist = softmax_rows(ops.matmul(h_t, w_vocab))
-    if gate is None:
-        p_gen = Tensor(np.ones(h_t.shape[:-1] + (1,)), dtype=h_t.dtype)
-    else:
-        w_h, b, w_c = gate
-        p_gen = sigmoid(ops.add(ops.linear(h_t, w_h, b),
-                                ops.matmul(context, w_c)))
+    p_gen = sigmoid(ops.add(ops.linear(h_t, w_h, b),
+                            ops.matmul(context, w_c)))
     copy_weights = mul(affine(p_gen, -1.0, 1.0), attn)
     mixed = op_chain_scatter_add_cols(mul(p_gen, vocab_dist), copy_weights,
                                       ext_ids, width)
@@ -437,8 +438,9 @@ class TestFusedOpsBitIdentity:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_hidden_and_gradients_byte_equal_at_t57(self, dtype,
                                                     monkeypatch):
-        n_params = len(param_specs(ModelConfig(vocab_size=60, n_layers=2)))
-        for baseline, n_grads in ((False, n_params), (True, n_params - 3)):
+        for baseline in (False, True):
+            n_grads = len(param_specs(ModelConfig(vocab_size=60, n_layers=2,
+                                                  baseline=baseline)))
             with monkeypatch.context() as patch:
                 fused = self._hidden_and_grads(dtype, baseline)
                 patch.setattr(ops, "linear", op_chain_linear)
@@ -619,6 +621,19 @@ class TestMixtureInvariants:
         copy = (1.0 - p_gen) * (attn[0] + attn[2])
         assert mixed[6] == pytest.approx(gen + copy, abs=1e-6)
 
+    def test_baseline_step_is_the_vocabulary_softmax(self):
+        cfg = tiny_config(baseline=True)
+        params = init_params(cfg)
+        src = [6, 7, 6, EOS]
+        hidden = forward_hidden(params, src + [SEP], cfg)
+        mixed, attn, p_gen = pointer_step(params, hidden, 4, [6, 7, 20, EOS],
+                                          1, cfg)
+        assert attn is None and p_gen == 1.0
+        vocab_logits = hidden.data[4] @ params["w_vocab"].data
+        e = np.exp(vocab_logits - vocab_logits.max())
+        np.testing.assert_allclose(mixed, np.append(e / e.sum(), 0.0),
+                                   rtol=1e-6, atol=1e-9)
+
 
 class TestSequenceLoss:
     def test_uniform_mixture_gives_log_v(self):
@@ -753,8 +768,8 @@ class TestBatchedSequenceLoss:
     def test_dropped_source_mask_is_caught(self, monkeypatch):
         mixture = ops.pointer_mixture
 
-        def unmasked(h_src, h_t, w_ptr, w_vocab, gate, col_mask, *rest):
-            return mixture(h_src, h_t, w_ptr, w_vocab, gate,
+        def unmasked(h_src, h_t, w_vocab, pointer, col_mask, *rest):
+            return mixture(h_src, h_t, w_vocab, pointer,
                            np.zeros_like(col_mask), *rest)
 
         monkeypatch.setattr(ops, "pointer_mixture", unmasked)

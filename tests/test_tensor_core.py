@@ -527,12 +527,12 @@ class TestClipGradNorm:
         np.testing.assert_array_equal(grads[a], before)
 
 
-def mixture_inputs(lead, gated, seed=14):
+def mixture_inputs(lead, pointed, seed=14):
     """float64 pointer_mixture inputs for `lead` examples of 4 source rows,
-    3 decoder rows, d 4 and a vocabulary of 5: (h_src, h_t, w_ptr, w_vocab,
-    gate, col_mask, ext_ids), with duplicate ext_ids below the width 8.
-    With more than one example, the last one's last source row is masked
-    off."""
+    3 decoder rows, d 4 and a vocabulary of 5: (h_src, h_t, w_vocab,
+    pointer, col_mask, ext_ids), pointer being (w_ptr, w_h, b, w_c) or, if
+    not `pointed`, None; duplicate ext_ids lie below the width 8. With more
+    than one example, the last one's last source row is masked off."""
     rng = np.random.default_rng(seed)
     h_src, h_t = (t64(rng.normal(size=lead + (n, 4))) for n in (4, 3))
     w_ptr, w_vocab = (t64(rng.normal(size=shape)) for shape in ((4, 4),
@@ -544,18 +544,19 @@ def mixture_inputs(lead, gated, seed=14):
         mask[-1, -1] = -1e9
     ids = rng.integers(0, 8, size=lead + (4,))
     ids[..., 1] = ids[..., 0]
-    return h_src, h_t, w_ptr, w_vocab, gate if gated else None, mask, ids
+    pointer = (w_ptr,) + gate if pointed else None
+    return h_src, h_t, w_vocab, pointer, mask, ids
 
 
-def mixture_gradcheck_error(lead, gated):
-    h_src, h_t, w_ptr, w_vocab, gate, mask, ids = mixture_inputs(lead, gated)
+def mixture_gradcheck_error(lead, pointed):
+    h_src, h_t, w_vocab, pointer, mask, ids = mixture_inputs(lead, pointed)
     r = np.random.default_rng(16).normal(size=lead + (3, 8))
 
     def f(*t):
-        mixed = ops.pointer_mixture(*t[:4], t[4:] or None, mask, ids, 8)[0]
+        mixed = ops.pointer_mixture(*t[:3], t[3:] or None, mask, ids, 8)[0]
         return sum_all(mul(mixed, Tensor(r)))
 
-    return gradcheck(f, [h_src, h_t, w_ptr, w_vocab] + list(gate or ()))
+    return gradcheck(f, [h_src, h_t, w_vocab] + list(pointer or ()))
 
 
 class TestGradcheck:
@@ -594,7 +595,7 @@ class TestElementwiseOps:
             t64(np.zeros(shape)) for shape in ((1, 3, 2), (1, 1, 2), (2, 2),
                                                (2, 2), (2, 1), (1, 1), (2, 1)))
         mixed, attn, p_gen = ops.pointer_mixture(
-            h_src, h_t, w_ptr, w_vocab, (w_h, b, w_c), np.zeros((1, 3)),
+            h_src, h_t, w_vocab, (w_ptr, w_h, b, w_c), np.zeros((1, 3)),
             np.array([[1, 1, 3]]), 4)
         np.testing.assert_allclose(attn, np.full((1, 1, 3), 1.0 / 3.0))
         assert p_gen.tolist() == [[[0.5]]]
@@ -602,12 +603,12 @@ class TestElementwiseOps:
             mixed.data, [[[0.25, 0.25 + 1.0 / 3.0, 0.0, 1.0 / 6.0]]])
 
     def test_scatter_add_gradcheck(self):
-        # every input, the gated head and the baseline (gate None)
-        for gate in (True, False):
-            assert mixture_gradcheck_error(lead=(1,), gated=gate) < 1e-6
+        # every input, the pointer head and the baseline (pointer None)
+        for pointed in (True, False):
+            assert mixture_gradcheck_error(lead=(1,), pointed=pointed) < 1e-6
 
     def test_scatter_add_input_checks(self):
-        args = mixture_inputs((1,), gated=True)[:-2]
+        args = mixture_inputs((1,), pointed=True)[:-2]
         mask = np.zeros((1, 4))
         with pytest.raises(ShapeError, match="ext_ids"):
             ops.pointer_mixture(*args, mask, [[0, 1]], 8)
@@ -617,19 +618,19 @@ class TestElementwiseOps:
     def test_mixture_needs_matching_batch_axes(self):
         # numpy alone would broadcast h_src's one example over h_t's three
         rng = np.random.default_rng(17)
-        h_src, h_t, w_ptr, w_vocab = (
+        h_src, h_t, w_vocab = (
             Tensor(rng.normal(size=shape))
-            for shape in ((1, 5, 8), (3, 2, 8), (8, 8), (8, 4)))
+            for shape in ((1, 5, 8), (3, 2, 8), (8, 4)))
         with pytest.raises(ShapeError, match="h_t"):
-            ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, None,
+            ops.pointer_mixture(h_src, h_t, w_vocab, None,
                                 np.zeros((1, 5)), np.zeros((1, 5), int), 12)
 
     def test_mixture_needs_a_source_position(self):
-        h_src, h_t, w_ptr, w_vocab = (
+        h_src, h_t, w_vocab = (
             Tensor(np.zeros(shape))
-            for shape in ((1, 0, 8), (1, 2, 8), (8, 8), (8, 4)))
+            for shape in ((1, 0, 8), (1, 2, 8), (8, 4)))
         with pytest.raises(ContractError, match="source position"):
-            ops.pointer_mixture(h_src, h_t, w_ptr, w_vocab, None,
+            ops.pointer_mixture(h_src, h_t, w_vocab, None,
                                 np.zeros((1, 0)), np.zeros((1, 0), int), 12)
 
     def test_nll_floor(self):
@@ -649,18 +650,18 @@ class TestElementwiseOps:
             ops.nll(probs, [0, 3], [0.5, 0.5])
 
     def test_scatter_add_batched_matches_per_slice(self):
-        args = mixture_inputs((3,), gated=True)
-        h_src, h_t, w_ptr, w_vocab, gate, mask, ids = args
+        args = mixture_inputs((3,), pointed=True)
+        h_src, h_t, w_vocab, pointer, mask, ids = args
         r = np.random.default_rng(15).normal(size=(3, 3, 8))
         with Tape() as tape:
             out = ops.pointer_mixture(*args, 8)[0]
             loss = sum_all(mul(out, Tensor(r)))
         grads = backward(tape, loss)
-        summed = {t: 0.0 for t in (w_ptr, w_vocab) + gate}
+        summed = {t: 0.0 for t in (w_vocab,) + pointer}
         for i in range(3):
             hs, ht = t64(h_src.data[i:i + 1]), t64(h_t.data[i:i + 1])
             with Tape() as tape:
-                one = ops.pointer_mixture(hs, ht, w_ptr, w_vocab, gate,
+                one = ops.pointer_mixture(hs, ht, w_vocab, pointer,
                                           mask[i:i + 1], ids[i:i + 1], 8)[0]
                 one_loss = sum_all(mul(one, Tensor(r[i:i + 1])))
             one_grads = backward(tape, one_loss)
@@ -677,11 +678,11 @@ class TestElementwiseOps:
 
     def test_scatter_add_batched_gradcheck(self):
         # the second example's last source column is masked off
-        for gate in (True, False):
-            assert mixture_gradcheck_error(lead=(2,), gated=gate) < 1e-6
+        for pointed in (True, False):
+            assert mixture_gradcheck_error(lead=(2,), pointed=pointed) < 1e-6
 
     def test_scatter_add_batched_ids_need_one_row_per_slice(self):
-        args = mixture_inputs((2,), gated=False)[:-2]
+        args = mixture_inputs((2,), pointed=False)[:-2]
         with pytest.raises(ShapeError, match="ext_ids"):
             ops.pointer_mixture(*args, np.zeros((2, 4)), [0, 1, 2, 3], 8)
 
@@ -878,7 +879,7 @@ def op_calls(dtype):
          (t(2, 3, 4), t(2, 3, 4), t(2, 3, 4))),
         ("pointer_mixture",
          lambda hs, ht, wp, wv, wh, b, wc: ops.pointer_mixture(
-             hs, ht, wp, wv, (wh, b, wc), np.zeros((2, 3)),
+             hs, ht, wv, (wp, wh, b, wc), np.zeros((2, 3)),
              [[0, 5, 5], [1, 2, 3]], 6)[0],
          (t(2, 3, 4), t(2, 1, 4), t(4, 4), t(4, 5), t(4, 1), t(1, 1),
           t(4, 1))),

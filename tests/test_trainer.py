@@ -76,19 +76,31 @@ class TestTrain:
         for name in runs[0][1]:
             assert np.array_equal(runs[0][1][name], runs[1][1][name])
 
-    def test_baseline_gate_stays_frozen(self, corpus):
-        # the baseline has no gate (p_gen = 1), so every parameter of either
-        # variant gets a gradient and `train` updates them all
-        _, example, cfg = corpus
+    def test_every_parameter_trains(self, corpus):
+        # the baseline is GPT: no pointer and no gate, so every parameter of
+        # either variant gets a nonzero gradient and `train` moves them all
+        vocab, example, _ = corpus
+        examples = [example] + [encode_example(src, tgt, vocab) for src, tgt
+                                in (("mild fever today .", "fever ."),
+                                    ("chronic cough and sob .", "cough ."),
+                                    ("patient reports sob .", "sob ."))]
+        cfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2,
+                          n_layers=1, d_ff=16, max_seq_len=32, seed=0)
         base_cfg = dataclasses.replace(cfg, baseline=True)
         assert list(param_specs(base_cfg)) == [
-            name for name in param_specs(cfg) if not name.startswith("gate.")]
+            name for name in param_specs(cfg)
+            if name != "ptr.w" and not name.startswith("gate.")]
         for mcfg in (cfg, base_cfg):
             params = init_params(mcfg)
             with Tape() as tape:
-                loss = sequence_loss(params, [example], mcfg)
+                loss = sequence_loss(params, examples, mcfg)
             grads = backward(tape, loss)
-            assert [name for name, t in params.items() if t not in grads] == []
+            assert [name for name, t in params.items()
+                    if not grads.get(t, np.zeros(1)).any()] == []
+            before = {name: t.data.copy() for name, t in params.items()}
+            train(params, examples, TrainConfig(batch_size=2), mcfg)
+            assert [name for name, t in params.items()
+                    if np.array_equal(t.data, before[name])] == []
 
     def test_non_finite_loss_names_step_and_examples(self, corpus):
         vocab, example, cfg = corpus
