@@ -59,12 +59,11 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     ContractError."""
     v = config.vocab_size
     root = []
-    hidden = forward_hidden(params, [list(source_ids) + [SEP]], config,
-                            cache=root).data
-    h_src = Tensor(hidden[:, :-1])
+    h_src = forward_hidden(params, [list(source_ids) + [SEP]], config,
+                           cache=root)  # its SEP row lies past the source
     ext_ids = np.asarray([source_ext_ids], dtype=np.int64)
-    col_mask = np.zeros(ext_ids.shape, dtype=hidden.dtype)
-    start = ([()], root, hidden[:, -1])
+    col_mask = np.zeros(ext_ids.shape, dtype=h_src.dtype)
+    start = ([()], root, h_src.data[:, -1])
     state = start  # (live prefixes, per-layer (K, V), their last hiddens)
 
     def step_fn(prefixes):

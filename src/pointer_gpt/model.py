@@ -161,12 +161,12 @@ def pointer_head(params, h_src, h_t, ext_ids, col_mask, oov_count, config):
     """Batched pointer head: `ops.pointer_mixture`'s (mixed Tensor, attn,
     p_gen) over the extended vocab, vocab_size + oov_count wide.
 
-    h_src [B, S, d] are the final-layer states at the source positions (the
-    encoder side); each row of h_t [B, N, d] is the state at a position whose
-    next token is being predicted (the decoder side). Callers build the
-    source arrays once per batch or document: ext_ids [B, S], the
-    right-padded extended ids; col_mask [B, S], 0 on a source position and
-    NEG_INF on padding, in h_src's dtype."""
+    h_src [B, T, d] are final-layer states whose first S rows sit at the
+    source positions (the encoder side), as in a forward's own output; each
+    row of h_t [B, N, d] is the state at a position whose next token is
+    being predicted (the decoder side). Callers build the source arrays once
+    per batch or document: ext_ids [B, S], the right-padded extended ids;
+    col_mask [B, S], 0 on a source position and NEG_INF on padding."""
     pointer = None if config.baseline else tuple(
         params[name] for name in ("ptr.w", "gate.w_h", "gate.b", "gate.w_c"))
     return ops.pointer_mixture(h_src, h_t, params["w_vocab"], pointer,
@@ -234,7 +234,7 @@ def sequence_loss(params, examples, config):
     steps = np.arange(n)
     real = steps < tgt[:, None]
     mixed, _, _ = pointer_head(
-        params, ops.take_rows(hidden, np.broadcast_to(np.arange(s), (b, s))),
+        params, hidden,
         ops.take_rows(hidden, np.where(real, src[:, None] + steps, 0)),
         ext_ids, np.where(np.arange(s) < src[:, None], 0.0,
                           NEG_INF).astype(hidden.dtype),

@@ -203,17 +203,18 @@ def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
 
     vocab = softmax(h_t @ w_vocab) for h_t [..., N, d]. With pointer None
     (GPT), mixed [..., N, width] is vocab zero-padded, p_gen 1 and attn
-    None. With pointer (w_ptr, w_h, b, w_c), attn = softmax(h_t @ w_ptr @
-    h_src^T + col_mask) for h_src [..., S, d], col_mask [..., S]; p_gen =
-    sigmoid(h_t @ w_h + b + (attn @ h_src) @ w_c); mixed is p_gen * vocab
-    plus (1 - p_gen) * attn[..., i] added at column ext_ids[..., i]
-    (duplicates accumulate). attn and p_gen carry no gradient."""
-    hs, ht, wv = h_src.data, h_t.data, w_vocab.data
+    None. With pointer (w_ptr, w_h, b, w_c), attn = softmax(h_t @ w_ptr @ hs^T
+    + col_mask) for col_mask [..., S] and hs, the first S = ext_ids.shape[-1]
+    rows of h_src [..., T, d]; p_gen = sigmoid(h_t @ w_h + b + (attn @ hs) @
+    w_c); mixed is p_gen * vocab plus (1 - p_gen) * attn[..., i] added at
+    ext_ids[..., i] (duplicates accumulate). attn and p_gen carry no gradient."""
     ids = np.asarray(ext_ids, dtype=np.int64)
+    rows = np.index_exp[..., :ids.shape[-1] if ids.ndim else 0, :]
+    hs, ht, wv = h_src.data[rows], h_t.data, w_vocab.data
     if ht.shape[:-2] != hs.shape[:-2]:
-        raise ShapeError("h_t %s vs h_src %s" % (ht.shape, hs.shape))
+        raise ShapeError("h_t %s vs h_src %s" % (ht.shape, h_src.shape))
     if ids.shape != hs.shape[:-1]:
-        raise ShapeError("ext_ids %s vs h_src %s" % (ids.shape, hs.shape))
+        raise ShapeError("ext_ids %s vs h_src %s" % (ids.shape, h_src.shape))
     if hs.shape[-2] < 1:
         raise ContractError("pointer_mixture needs a source position")
     if ids.size and (ids.min() < 0 or ids.max() >= width):
@@ -253,8 +254,9 @@ def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
                 + g_logits @ wv.swapaxes(-1, -2))
         g_scores = _softmax_grad(g_copy * cpl + g_context @ hs_t, attn)
         g_a1 = g_scores @ hs
-        g_hs = (attn.swapaxes(-1, -2) @ g_context
-                + (a1.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
+        g_hs = np.zeros_like(h_src.data)
+        g_hs[rows] = (attn.swapaxes(-1, -2) @ g_context
+                      + (a1.swapaxes(-1, -2) @ g_scores).swapaxes(-1, -2))
         return (g_hs, g_ht + g_a1 @ wp.swapaxes(-1, -2),
                 _weight_grad(ht, g_logits), _weight_grad(ht, g_a1),
                 _weight_grad(ht, g_logit), _unbroadcast(g_logit, b.shape),

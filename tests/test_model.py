@@ -1,7 +1,7 @@
 """Model tests: init, causality, pointer head, mixture, sequence loss."""
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -393,6 +393,10 @@ def op_chain_pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask,
         vocab_dist = softmax_rows(ops.matmul(h_t, w_vocab))
         return (pad_cols(vocab_dist, width - vocab_dist.shape[-1]), None,
                 np.ones(h_t.shape[:-1] + (1,), dtype=h_t.dtype))
+    # the replaced path: the source rows gathered by their own tape op
+    s = np.shape(ext_ids)[-1]
+    h_src = ops.take_rows(h_src, np.broadcast_to(np.arange(s),
+                                                 np.shape(ext_ids)))
     w_ptr, w_h, b, w_c = pointer
     scores = ops.matmul(ops.matmul(h_t, w_ptr), ops.transpose(h_src))
     attn = softmax_rows(ops.add(scores, Tensor(col_mask[:, None, :],
@@ -464,15 +468,17 @@ class TestOpBudget:
                              source_ext_ids=[6, 7, 60, 8, EOS],
                              oov=["marker"], target_ext_ids=[7, 60, 9, EOS])
 
-    def test_sequence_loss_tape_records(self):
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_sequence_loss_tape_records(self, baseline):
         # one padded forward, pointer head and loss for any batch size
-        params = init_params(self.CFG)
+        cfg = replace(self.CFG, baseline=baseline)
+        params = init_params(cfg)
         batch = [self.EXAMPLE] + mixed_batch(np.random.default_rng(0), v=60,
                                              n_examples=7, max_len=64)
         for examples in (batch[:1], batch):
             with Tape() as tape:
-                sequence_loss(params, examples, self.CFG)
-            assert len(tape) <= 33
+                sequence_loss(params, examples, cfg)
+            assert len(tape) <= 31
 
     @staticmethod
     def _count_op_calls(monkeypatch):

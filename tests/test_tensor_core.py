@@ -559,6 +559,41 @@ def mixture_gradcheck_error(lead, pointed):
     return gradcheck(f, [h_src, h_t, w_vocab] + list(pointer or ()))
 
 
+def long_source_mismatches(mixture, pointed):
+    """What differs between `mixture` on an h_src of 6 rows and
+    pointer_mixture on its first S = 4 rows, on mixture_inputs((2,),
+    pointed): the names of the outputs and input gradients that are not
+    bit-equal, and "tail" unless rows >= S get exactly zero gradient."""
+    h_src, h_t, w_vocab, pointer, mask, ids = mixture_inputs((2,), pointed)
+    extra = np.random.default_rng(18).normal(size=(2, 2, 4))
+    long = t64(np.concatenate([h_src.data, extra], axis=-2))
+    r = np.random.default_rng(16).normal(size=(2, 3, 8))
+
+    def run(op, hs):
+        with Tape() as tape:
+            mixed, attn, p_gen = op(hs, h_t, w_vocab, pointer, mask, ids, 8)
+            loss = sum_all(mul(mixed, Tensor(r)))
+        grads = backward(tape, loss)
+        g_hs = grads.get(hs, np.zeros_like(hs.data))  # GPT: no h_src input
+        out = {"mixed": mixed.data, "attn": attn, "p_gen": p_gen,
+               "h_src": g_hs[:, :4]}
+        for name, t in zip(("h_t", "w_vocab", "w_ptr", "w_h", "b", "w_c"),
+                           (h_t, w_vocab) + (pointer or ())):
+            out[name] = grads[t]
+        return out, g_hs[:, 4:]
+
+    got, tail = run(mixture, long)
+    want, _ = run(ops.pointer_mixture, t64(long.data[:, :4]))
+
+    def same(a, b):
+        return (a is None and b is None) or (
+            a is not None and b is not None and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+    return ([name for name in want if not same(got[name], want[name])]
+            + ([] if np.all(tail == 0.0) else ["tail"]))
+
+
 class TestGradcheck:
     def test_sum_has_zero_error(self):
         # power-of-two step keeps every float op exact for a linear f
@@ -610,10 +645,26 @@ class TestElementwiseOps:
     def test_scatter_add_input_checks(self):
         args = mixture_inputs((1,), pointed=True)[:-2]
         mask = np.zeros((1, 4))
-        with pytest.raises(ShapeError, match="ext_ids"):
-            ops.pointer_mixture(*args, mask, [[0, 1]], 8)
+        with pytest.raises(ShapeError, match="ext_ids"):  # 5 ids, 4 rows
+            ops.pointer_mixture(*args, mask, [[0, 1, 2, 3, 4]], 8)
         with pytest.raises(ContractError, match="out of range"):
             ops.pointer_mixture(*args, mask, [[0, 1, 2, 8]], 8)
+
+    @pytest.mark.parametrize("pointed", [True, False])
+    def test_mixture_reads_only_the_first_s_rows_of_h_src(self, pointed):
+        # the caller's whole hidden state stands for its source rows
+        assert long_source_mismatches(ops.pointer_mixture, pointed) == []
+
+    def test_reading_the_last_s_rows_is_caught(self):
+        # mutation control: the copy head attends over the wrong rows
+        def last_rows(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
+            t, lead = h_src.shape[-2], np.shape(ext_ids)
+            tail = ops.take_rows(h_src, np.broadcast_to(
+                np.arange(t - lead[-1], t), lead))
+            return ops.pointer_mixture(tail, h_t, w_vocab, pointer, col_mask,
+                                       ext_ids, width)
+
+        assert "mixed" in long_source_mismatches(last_rows, pointed=True)
 
     def test_mixture_needs_matching_batch_axes(self):
         # numpy alone would broadcast h_src's one example over h_t's three
