@@ -1,12 +1,12 @@
 """Binary model checkpoints.
 
-Layout: magic "PGPT" | u32-LE format version (3) | u32-LE header length |
+Layout: magic "PGPT" | u32-LE format version (4) | u32-LE header length |
 UTF-8 JSON header | payload. The header is {"config": the model config};
 the payload is the tensors of `param_specs(config)`, in its order, as
 32-bit little-endian floats back to back, so the config alone fixes every
-tensor's name, shape and offset. Round trips are bit-identical. Versions 1
-and 2 do not load: version 1 headers held a config key the model no longer
-has, and version 2 headers held a manifest that the config implies.
+tensor's name, shape and offset. Round trips are bit-identical. Versions
+1-3 do not load; they held a config key the model lacks (1), a manifest
+the config implies (2) or Q, K and V as three tensors per layer (3).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import ModelConfig, param_specs
 from .tensor import Tensor
 
 MAGIC = b"PGPT"
-VERSION = 3
+VERSION = 4
 
 
 class CheckpointError(ValueError):

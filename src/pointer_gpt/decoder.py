@@ -49,12 +49,12 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     """step_fn(prefixes) -> [len(prefixes), V_ext]: the next-token
     distribution over the extended vocab after each emitted-id prefix.
 
-    Source + SEP run once to fill a root K/V cache and fix h_src
+    Source + SEP run once to fill a root qkv cache and fix h_src
     (causality) and the copy head's source arrays. Calls go in lockstep, as
-    in batched beam search: the live prefixes share one (K, V) array per
-    layer, [k, T, d_model], one row each. A call whose prefixes each extend
-    one of the previous call's by one id gathers its parents' rows and runs
-    the k new ids as one forward; a call that repeats the previous prefixes
+    in batched beam search: the live prefixes share one qkv array per layer,
+    [k, T, 3 * d_model], one row each. A call whose prefixes each extend one
+    of the previous call's by one id gathers its parents' rows and runs the
+    k new ids as one forward; a call that repeats the previous prefixes
     reuses their rows; [()] restarts at the root. Any other call raises
     ContractError."""
     v = config.vocab_size
@@ -64,7 +64,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     ext_ids = np.asarray([source_ext_ids], dtype=np.int64)
     col_mask = np.zeros(ext_ids.shape, dtype=h_src.dtype)
     start = ([()], root, h_src.data[:, -1])
-    state = start  # (live prefixes, per-layer (K, V), their last hiddens)
+    state = start  # (live prefixes, per-layer qkv, their last hiddens)
 
     def step_fn(prefixes):
         nonlocal state
@@ -78,7 +78,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
                 raise ContractError("step_fn prefixes must each extend one "
                                     "of the previous call's by one id")
             parents = [rows[key[:-1]] for key in keys]
-            cache = [(k[parents], vv[parents]) for k, vv in cache]
+            cache = [c[parents] for c in cache]
             feed = [feed_ids(key[-1:], v) for key in keys]
             hidden = forward_hidden(params, feed, config, cache=cache).data
             state = (keys, cache, hidden[:, -1])

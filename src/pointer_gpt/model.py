@@ -69,9 +69,9 @@ def param_specs(config):
         p = "h%d." % i
         specs[p + "ln1.gain"] = ((d,), "ones")
         specs[p + "ln1.bias"] = ((d,), "zeros")
-        for name in ("wq", "wk", "wv", "wo"):
-            specs[p + "attn." + name] = ((d, d), "normal")
-            specs[p + "attn.b" + name[1]] = ((d,), "zeros")
+        for name, width in (("_qkv", 3 * d), ("o", d)):
+            specs[p + "attn.w" + name] = ((d, width), "normal")
+            specs[p + "attn.b" + name] = ((width,), "zeros")
         specs[p + "ln2.gain"] = ((d,), "ones")
         specs[p + "ln2.bias"] = ((d,), "zeros")
         specs[p + "mlp.w_in"] = ((d, f), "normal")
@@ -110,14 +110,12 @@ def _causal_mask(t_len, dtype, t_past):
 
 def _attention(params, prefix, x, config, mask, cache, layer):
     """Causal self-attention with every head in one op."""
-    q, k, v = (ops.linear(x, params[prefix + "w" + n],
-                          params[prefix + "b" + n]) for n in "qkv")
+    qkv = ops.linear(x, params[prefix + "w_qkv"], params[prefix + "b_qkv"])
     if cache is not None:  # attend over the cached rows, then store all
         if layer < len(cache):
-            k, v = (Tensor(np.concatenate([past, new.data], axis=-2))
-                    for past, new in zip(cache[layer], (k, v)))
-        cache[layer:layer + 1] = [(k.data, v.data)]
-    return ops.linear(ops.causal_attention(q, k, v, mask, config.n_heads),
+            qkv = Tensor(np.concatenate([cache[layer], qkv.data], axis=-2))
+        cache[layer:layer + 1] = [qkv.data]
+    return ops.linear(ops.causal_attention(qkv, mask, config.n_heads),
                       params[prefix + "wo"], params[prefix + "bo"])
 
 
@@ -125,14 +123,14 @@ def forward_hidden(params, input_ids, config, cache=None):
     """Hidden states [..., T, d_model] of ids [..., T]; hidden[..., t] depends
     only on ids[..., :t + 1].
 
-    ``cache`` (inference only; empty at first) is a list of per-layer (K, V)
-    arrays [..., T_past, d_model]; the ids continue at position T_past."""
+    ``cache`` (inference only; empty at first) is a list of per-layer qkv
+    arrays [..., T_past, 3 * d_model]; the ids continue at position T_past."""
     if cache is not None and active_tape() is not None:
         raise ContractError("forward_hidden with a cache cannot run under a "
-                            "Tape: the K/V concatenation has no backward")
+                            "Tape: the qkv concatenation has no backward")
     ids = np.asarray(input_ids, dtype=np.int64)
     t_len = ids.shape[-1]
-    t_past = cache[0][0].shape[-2] if cache else 0
+    t_past = cache[0].shape[-2] if cache else 0
     if ids.size == 0:
         raise ContractError("empty input sequence")
     if t_past + t_len > config.max_seq_len:

@@ -169,12 +169,13 @@ def take_rows(table, indices):
     return make_output(out, (table,), bwd)
 
 
-def causal_attention(q, k, v, mask, n_heads):
-    """Multi-head softmax(q_h @ k_h^T / sqrt(d_head) + mask) @ v_h for q
-    [..., T, d] and k, v [..., S, d], returned as [..., T, d]. Head h owns
-    columns [h, h+1) * d_head of each. The plain array mask [T, S] is 0
-    where a query may attend and a large negative number where it may not."""
-    d = q.data.shape[-1]
+def causal_attention(qkv, mask, n_heads):
+    """Multi-head softmax(q_h @ k_h^T / sqrt(d_head) + mask) @ v_h -> [..., T,
+    d] for qkv [..., S, 3d] = [q | k | v]: the last T rows query, all S rows
+    are keys and values, and the first S - T rows' q gets a zero gradient.
+    Head h owns columns [h, h+1) * d_head of each of q, k and v. The array
+    mask [T, S] is 0 where a query may attend, very negative elsewhere."""
+    s, t, d = qkv.shape[-2], mask.shape[-2], qkv.shape[-1] // 3
     d_head = d // n_heads
     scale = 1.0 / math.sqrt(d_head)
 
@@ -184,7 +185,8 @@ def causal_attention(q, k, v, mask, n_heads):
     def merge(x):  # [..., H, T, d_head] -> [..., T, d]
         return x.swapaxes(-3, -2).reshape(*x.shape[:-3], x.shape[-2], d)
 
-    qd, kd, vd = split(q.data), split(k.data), split(v.data)
+    qd = split(qkv.data[..., s - t:, :d])
+    kd, vd = split(qkv.data[..., d:2 * d]), split(qkv.data[..., 2 * d:])
     attn = _softmax(scale * (qd @ kd.swapaxes(-1, -2)) + mask)
     out = merge(attn @ vd)
 
@@ -193,9 +195,13 @@ def causal_attention(q, k, v, mask, n_heads):
         ds = scale * _softmax_grad(g @ vd.swapaxes(-1, -2), attn)
         # (q^T ds)^T, not ds^T q: the same rounding as matmul + transpose
         dk = (qd.swapaxes(-1, -2) @ ds).swapaxes(-1, -2)
-        return merge(ds @ kd), merge(dk), merge(attn.swapaxes(-1, -2) @ g)
+        grad = np.zeros_like(qkv.data)
+        gq, gk, gv = (split(grad[..., i * d:(i + 1) * d]) for i in range(3))
+        gq[..., s - t:, :] = ds @ kd  # the split views write into grad
+        gk[...], gv[...] = dk, attn.swapaxes(-1, -2) @ g
+        return (grad,)
 
-    return make_output(out, (q, k, v), bwd)
+    return make_output(out, (qkv,), bwd)
 
 
 def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
@@ -213,8 +219,9 @@ def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
     hs, ht, wv = h_src.data[rows], h_t.data, w_vocab.data
     if ht.shape[:-2] != hs.shape[:-2]:
         raise ShapeError("h_t %s vs h_src %s" % (ht.shape, h_src.shape))
-    if ids.shape != hs.shape[:-1]:
-        raise ShapeError("ext_ids %s vs h_src %s" % (ids.shape, h_src.shape))
+    if ids.shape != hs.shape[:-1] or np.shape(col_mask) != ids.shape:
+        raise ShapeError("ext_ids %s and col_mask %s vs h_src %s" % (
+            ids.shape, np.shape(col_mask), h_src.shape))
     if hs.shape[-2] < 1:
         raise ContractError("pointer_mixture needs a source position")
     if ids.size and (ids.min() < 0 or ids.max() >= width):

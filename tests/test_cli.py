@@ -330,25 +330,31 @@ class TestCheckpoint:
         assert err == ("error: checkpoint format version 1 is not supported "
                        "(expected %d)\n" % VERSION)
 
-    def test_version_2_checkpoint_is_one_error_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_version_2_or_3_checkpoint_is_one_error_line(self, tmp_path,
+                                                         capsys, version):
         # version 2 headers held a manifest: each tensor's name, shape and
-        # byte offset, all of which the config fixes
+        # byte offset, all of which the config fixes. Version 3 headers held
+        # the config alone, as now, but its payload held Q, K and V apart:
+        # as many floats as w_qkv and b_qkv, in another order
         params, cfg = tiny_model()
-        manifest, offset = [], 0
-        for name, tensor in params.items():
-            manifest.append({"name": name, "shape": list(tensor.shape),
-                             "offset": offset})
-            offset += 4 * tensor.data.size
-        header = json.dumps({"config": dataclasses.asdict(cfg),
-                             "manifest": manifest}).encode("utf-8")
+        header = {"config": dataclasses.asdict(cfg)}
+        if version == 2:
+            header["manifest"], offset = [], 0
+            for name, tensor in params.items():
+                header["manifest"].append({"name": name, "offset": offset,
+                                           "shape": list(tensor.shape)})
+                offset += 4 * tensor.data.size
+        header = json.dumps(header).encode("utf-8")
         path = tmp_path / "m.ckpt"
-        path.write_bytes(MAGIC + struct.pack("<II", 2, len(header)) + header
+        path.write_bytes(MAGIC + struct.pack("<II", version, len(header))
+                         + header
                          + b"".join(np.ascontiguousarray(t.data, dtype="<f4")
                                     .tobytes() for t in params.values()))
         code, err = self._summarize(str(path), tmp_path, capsys)
         assert code == 1
-        assert err == ("error: checkpoint format version 2 is not supported "
-                       "(expected 3)\n")
+        assert err == ("error: checkpoint format version %d is not supported "
+                       "(expected 4)\n" % version)
 
     def test_old_baseline_layout_is_one_error_line(self, tmp_path, capsys):
         # a baseline file from before ptr.w left the baseline holds the
@@ -359,7 +365,8 @@ class TestCheckpoint:
                    if not name.startswith("gate.")]
         header = json.dumps({"config": dataclasses.asdict(cfg)}).encode()
         path = tmp_path / "m.ckpt"
-        path.write_bytes(MAGIC + struct.pack("<II", 3, len(header)) + header
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header))
+                         + header
                          + b"".join(np.ascontiguousarray(t.data, dtype="<f4")
                                     .tobytes() for t in tensors))
         code, err = self._summarize(str(path), tmp_path, capsys)
@@ -372,10 +379,10 @@ class TestCheckpoint:
     # sha256 of the file save_checkpoint writes for LAYOUT_CFG's params
     LAYOUT_CFG = ModelConfig(vocab_size=6, d_model=4, n_heads=2, n_layers=1,
                              d_ff=8, max_seq_len=8)
-    LAYOUT_SHA256 = {False: "09961da2079256833e861c90845882a7"
-                            "8c6af17776513daacd345d354703cee9",
-                     True: "189cf31a4f9368ae4004f98e1b2c6d29"
-                           "55884603ec473c9039f8fe0e38c084d8"}
+    LAYOUT_SHA256 = {False: "18e462af82f827c019378fb720de6554"
+                            "776bb271a255715caac89a2426915293",
+                     True: "9588798d85db4e474562478dfa3bb00a"
+                           "04b693cce45fdd9093bf8dda4148c22e"}
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_file_layout_is_pinned(self, tmp_path, baseline):

@@ -363,7 +363,7 @@ def rolled_forward_hidden(params, ids, config, cache=None, **kwargs):
     """Mutant of decoder.forward_hidden: each row extends its neighbour's
     cache."""
     if cache:
-        cache[:] = [tuple(np.roll(a, 1, axis=0) for a in kv) for kv in cache]
+        cache[:] = [np.roll(qkv, 1, axis=0) for qkv in cache]
     return forward_hidden(params, ids, config, cache=cache, **kwargs)
 
 
@@ -380,9 +380,24 @@ class TestIncrementalDecoding:
         assert batch_mismatches(range(20)) == []
 
     def test_wrong_parent_cache_is_caught(self, monkeypatch):
-        # mutation control: each hypothesis extends its neighbour's cache
+        # mutation control: each hypothesis extends its neighbour's cache.
+        # A roll shows only where a call's prefixes have two parents; on
+        # (8, 1) every call's prefixes share one, so the rolled rows are
+        # equal and the mutant computes what make_step_fn does
+        params, src, oov_ext, cfg = criterion_9_model(8)
+        step_fn = make_step_fn(params, src, oov_ext, 1, cfg)
+        parents = []
+
+        def logged(prefixes):
+            parents.append({p[:-1] for p in prefixes if p})
+            return step_fn(prefixes)
+
+        for search in SEARCHES:
+            search(logged)
+        assert max(len(p) for p in parents) == 1
         monkeypatch.setattr(decoder, "forward_hidden", rolled_forward_hidden)
-        assert len(batch_mismatches(range(20))) == 40
+        caught = batch_mismatches(range(20))
+        assert len(caught) == 39 and (8, 1) not in caught
 
     def test_beam_runs_one_forward_per_step(self, monkeypatch):
         calls = []
@@ -510,7 +525,7 @@ def skip_gather_on_permutation():
     """Mutant of make_step_fn: when the new prefixes' parents are the live
     rows in another order, the rows keep their old order."""
     source = inspect.getsource(decoder.make_step_fn)
-    gather = "cache = [(k[parents], vv[parents]) for k, vv in cache]"
+    gather = "cache = [c[parents] for c in cache]"
     assert source.count(gather) == 1
     namespace = dict(vars(decoder))
     exec(source.replace(gather, "if sorted(parents) != list(range(len("

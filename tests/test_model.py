@@ -119,7 +119,7 @@ class TestInitParams:
 
     def test_biases_zero_gains_one(self):
         p = init_params(tiny_config())
-        assert not p["h0.attn.bq"].data.any()
+        assert not p["h0.attn.b_qkv"].data.any()
         assert not p["gate.b"].data.any()
         assert (p["h0.ln1.gain"].data == 1.0).all()
 
@@ -177,7 +177,7 @@ class TestKVCache:
         np.testing.assert_allclose(np.concatenate(rows), full, rtol=0,
                                    atol=1e-6)
         assert len(cache) == cfg.n_layers
-        assert all(k.shape == v.shape == (at, cfg.d_model) for k, v in cache)
+        assert all(qkv.shape == (at, 3 * cfg.d_model) for qkv in cache)
 
     def test_cache_under_tape_rejected(self):
         cfg = tiny_config()
@@ -195,7 +195,7 @@ class TestKVCache:
             forward_hidden(p, [5, 6], cfg, cache=cache)
         # the failed call leaves the cache as it was
         forward_hidden(p, [6], cfg, cache=cache)
-        assert cache[0][0].shape[1] == cfg.max_seq_len
+        assert cache[0].shape[0] == cfg.max_seq_len
 
 
 def _softmax_rows(s):
@@ -259,16 +259,24 @@ class TestBatchedAttention:
         return x.astype(dtype), cast, r.astype(dtype)
 
     def _batched(self, x, w, n_heads, r):
+        """_attention on the reference's weights, with wq, wk and wv (and
+        their biases) concatenated; the gradients come back split."""
         cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=n_heads)
         xt = Tensor(x, requires_grad=True)
+        fused = {"w_qkv": np.concatenate([w["wq"], w["wk"], w["wv"]], 1),
+                 "b_qkv": np.concatenate([w["bq"], w["bk"], w["bv"]]),
+                 "wo": w["wo"], "bo": w["bo"]}
         params = {"attn." + n: Tensor(a, requires_grad=True)
-                  for n, a in w.items()}
+                  for n, a in fused.items()}
         mask = _causal_mask(self.T, x.dtype, 0)
         with Tape() as tape:
             out = _attention(params, "attn.", xt, cfg, mask, None, 0)
             loss = sum_all(mul(out, Tensor(r)))
         grads = backward(tape, loss)
         named = {n[len("attn."):]: grads[t] for n, t in params.items()}
+        for kind in "wb":
+            parts = np.split(named.pop(kind + "_qkv"), 3, axis=-1)
+            named.update(zip((kind + n for n in "qkv"), parts))
         return out.data, grads[xt], named
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
@@ -327,9 +335,23 @@ def sigmoid(x):
     return make_output(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
-def op_chain_attention(q, k, v, mask, n_heads):
-    qh, kh, vh = (split_heads(t, n_heads) for t in (q, k, v))
-    scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
+def take_index(x, index):
+    """x[index] for a basic (slice) index, as a tape op."""
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[index] = g
+        return (gx,)
+
+    return make_output(x.data[index], (x,), bwd)
+
+
+def op_chain_attention(qkv, mask, n_heads):
+    (s, d3), t = qkv.shape[-2:], mask.shape[-2]
+    d = d3 // 3
+    qh, kh, vh = (split_heads(take_index(qkv, index), n_heads) for index in (
+        np.index_exp[..., s - t:, :d], np.index_exp[..., d:2 * d],
+        np.index_exp[..., 2 * d:]))
+    scale = 1.0 / math.sqrt(d // n_heads)
     scores = affine(ops.matmul(qh, ops.transpose(kh)), scale)
     attn = softmax_rows(ops.add(scores, Tensor(mask)))
     return merge_heads(ops.matmul(attn, vh))
@@ -413,8 +435,9 @@ def op_chain_pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask,
 
 class TestFusedOpsBitIdentity:
     """linear, causal_attention, pointer_mixture and nll against the op
-    chains they replace, with the heads split and merged, the scatter, the
-    gate's sigmoid and the affine steps done by their own tape ops."""
+    chains they replace, with q, k and v sliced from qkv, the heads split
+    and merged, the scatter, the gate's sigmoid and the affine steps done by
+    their own tape ops."""
 
     def _hidden_and_grads(self, dtype, baseline):
         # heads of 32: scale 1/sqrt(32) is no power of two, so where the
@@ -478,7 +501,7 @@ class TestOpBudget:
         for examples in (batch[:1], batch):
             with Tape() as tape:
                 sequence_loss(params, examples, cfg)
-            assert len(tape) <= 31
+            assert len(tape) <= 27
 
     @staticmethod
     def _count_op_calls(monkeypatch):
@@ -498,7 +521,7 @@ class TestOpBudget:
         forward_hidden(params, [6, 7, 8, SEP], self.CFG, cache=cache)
         calls = self._count_op_calls(monkeypatch)
         forward_hidden(params, [9], self.CFG, cache=cache)
-        assert 0 < len(calls) <= 28
+        assert 0 < len(calls) <= 24
 
     def test_one_prefix_step_fn_op_calls(self, monkeypatch):
         ex = self.EXAMPLE
@@ -507,7 +530,7 @@ class TestOpBudget:
         step_fn([()])
         calls = self._count_op_calls(monkeypatch)
         step_fn([(7,)])
-        assert 0 < len(calls) <= 30
+        assert 0 < len(calls) <= 25
 
 
 class TestPointerStep:

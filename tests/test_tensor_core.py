@@ -121,21 +121,23 @@ class TestLinear:
 
 
 def attention_inputs(seed, lead, t_len, t_past, d=4):
-    """q [*lead, T, d] and k, v [*lead, t_past + T, d] in float64, the
-    causal mask offset by t_past, and a random cotangent for the output."""
+    """qkv [*lead, t_past + T, 3d] = [q | k | v] in float64, the causal mask
+    offset by t_past, and a random cotangent for the output. The q of the
+    first t_past rows is drawn too, but no query reads it."""
     rng = np.random.default_rng(seed)
-    q = t64(rng.normal(size=lead + (t_len, d)))
-    k, v = (t64(rng.normal(size=lead + (t_past + t_len, d)))
-            for _ in range(2))
+    q = rng.normal(size=lead + (t_len, d))
+    k, v = (rng.normal(size=lead + (t_past + t_len, d)) for _ in range(2))
     mask = _causal_mask(t_len, np.float64, t_past)
-    return q, k, v, mask, np.asarray(rng.normal(size=q.shape))
+    r = np.asarray(rng.normal(size=q.shape))
+    q = np.concatenate([rng.normal(size=lead + (t_past, d)), q], axis=-2)
+    return t64(np.concatenate([q, k, v], axis=-1)), mask, r
 
 
 def attention_gradcheck_error(lead, t_past, n_heads):
-    q, k, v, mask, r = attention_inputs(28, lead, 4, t_past)
+    qkv, mask, r = attention_inputs(28, lead, 4, t_past)
     return gradcheck(
-        lambda *a: sum_all(mul(
-            ops.causal_attention(*a, mask, n_heads), Tensor(r))), [q, k, v])
+        lambda a: sum_all(mul(
+            ops.causal_attention(a, mask, n_heads), Tensor(r))), [qkv])
 
 
 class TestCausalAttention:
@@ -151,39 +153,86 @@ class TestCausalAttention:
         assert attention_gradcheck_error((), 3, 2) > 1e-2
 
     def test_matches_the_op_chain(self):
-        q, k, v, mask, _ = attention_inputs(29, (2,), 5, 2)
+        qkv, mask, _ = attention_inputs(29, (2,), 5, 2)
+        q, k, v = np.split(qkv.data, 3, axis=-1)
+        q, k, v = t64(q[..., -5:, :]), t64(k), t64(v)  # the last 5 rows query
         scores = mul(ops.matmul(q, ops.transpose(k)), Tensor(0.5))
         chain = ops.matmul(softmax_rows(ops.add(scores, Tensor(mask))), v)
         np.testing.assert_array_equal(
-            ops.causal_attention(q, k, v, mask, 1).data, chain.data)
+            ops.causal_attention(qkv, mask, 1).data, chain.data)
 
     @pytest.mark.parametrize("n_heads", [2, 4])
     def test_each_head_attends_on_its_column_slice(self, n_heads):
-        q, k, v, mask, _ = attention_inputs(30, (), 5, 2, d=8)
-        out = ops.causal_attention(q, k, v, mask, n_heads).data
+        qkv, mask, _ = attention_inputs(30, (), 5, 2, d=8)
+        out = ops.causal_attention(qkv, mask, n_heads).data
         assert out.shape == (5, 8)
         width = 8 // n_heads
         for h in range(n_heads):
             cols = slice(h * width, (h + 1) * width)
-            one = ops.causal_attention(
-                *(Tensor(t.data[:, cols]) for t in (q, k, v)), mask, 1).data
+            one = ops.causal_attention(t64(np.concatenate(
+                [part[:, cols] for part in np.split(qkv.data, 3, axis=-1)],
+                axis=-1)), mask, 1).data
             np.testing.assert_allclose(out[:, cols], one, rtol=1e-12)
 
     def test_batched_matches_per_slice(self):
-        q, k, v, mask, _ = attention_inputs(31, (3, 2), 4, 3)
-        out = ops.causal_attention(q, k, v, mask, 2).data
+        qkv, mask, _ = attention_inputs(31, (3, 2), 4, 3)
+        out = ops.causal_attention(qkv, mask, 2).data
         for b in range(3):
-            one = ops.causal_attention(*(Tensor(t.data[b]) for t in (q, k, v)),
-                                       mask, 2).data
+            one = ops.causal_attention(Tensor(qkv.data[b]), mask, 2).data
             np.testing.assert_allclose(out[b], one, rtol=1e-12)
 
 
-def attention_grads(q, k, v, mask, n_heads, r):
+def first_rows_query():
+    """Mutant of ops.causal_attention: the first T rows of qkv query, not
+    the last T."""
+    source = inspect.getsource(ops.causal_attention)
+    queries = "qd = split(qkv.data[..., s - t:, :d])"
+    assert source.count(queries) == 1
+    namespace = dict(vars(ops))
+    exec(source.replace(queries, "qd = split(qkv.data[..., :t, :d])"),
+         namespace)
+    return namespace["causal_attention"]
+
+
+def query_rule_failures(attention):
+    """The (lead, n_heads) cases, S = 7 rows and T = 3 queries, where the
+    T-query call is not the last T rows of the S-query call within 1e-6,
+    the q of the first S - T rows gets a gradient other than an exact 0, or
+    gradcheck exceeds 1e-6."""
+    failures = []
+    for lead in [(), (2,), (3, 2)]:
+        for n_heads in (1, 2, 4):
+            qkv, mask, r = attention_inputs(32, lead, 3, 4, d=8)
+            full = attention(qkv, _causal_mask(7, np.float64, 0), n_heads)
+            with Tape() as tape:
+                out = attention(qkv, mask, n_heads)
+                loss = sum_all(mul(out, Tensor(r)))
+            grad = backward(tape, loss)[qkv]
+            err = gradcheck(lambda a: sum_all(mul(
+                attention(a, mask, n_heads), Tensor(r))), [qkv])
+            if (np.abs(out.data - full.data[..., -3:, :]).max() > 1e-6
+                    or np.any(grad[..., :4, :8] != 0.0) or err > 1e-6):
+                failures.append((lead, n_heads))
+    return failures
+
+
+class TestQueryRows:
+    """causal_attention's rule for qkv with more rows S than queries T."""
+
+    def test_the_last_rows_query(self):
+        assert query_rule_failures(ops.causal_attention) == []
+
+    def test_first_rows_as_queries_is_caught(self):
+        # mutation control: every case fails
+        assert len(query_rule_failures(first_rows_query())) == 9
+
+
+def attention_grads(qkv, mask, n_heads, r):
+    """The gradients of q, k and v, split from that of qkv."""
     with Tape() as tape:
         loss = sum_all(mul(
-            ops.causal_attention(q, k, v, mask, n_heads), Tensor(r)))
-    grads = backward(tape, loss)
-    return [grads[t] for t in (q, k, v)]
+            ops.causal_attention(qkv, mask, n_heads), Tensor(r)))
+    return np.split(backward(tape, loss)[qkv], 3, axis=-1)
 
 
 class TestHeads:
@@ -193,43 +242,43 @@ class TestHeads:
     def test_split_heads_gradcheck(self):
         # a cotangent on head 1's output columns reaches only head 1's
         # columns of q, k and v
-        q, k, v, mask, r = attention_inputs(22, (), 3, 0, d=8)
+        qkv, mask, r = attention_inputs(22, (), 3, 0, d=8)
         r[:, :2] = 0.0
         r[:, 4:] = 0.0
-        for g in attention_grads(q, k, v, mask, 4, r):
+        for g in attention_grads(qkv, mask, 4, r):
             assert np.any(g[:, 2:4] != 0.0)
             np.testing.assert_array_equal(g[:, :2], 0.0)
             np.testing.assert_array_equal(g[:, 4:], 0.0)
         err = gradcheck(
-            lambda *a: sum_all(mul(
-                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+            lambda a: sum_all(mul(
+                ops.causal_attention(a, mask, 4), Tensor(r))), [qkv])
         assert err < 1e-6
 
     def test_merge_heads_gradcheck(self):
-        q, k, v, mask, r = attention_inputs(23, (), 3, 2, d=8)
+        qkv, mask, r = attention_inputs(23, (), 3, 2, d=8)
         err = gradcheck(
-            lambda *a: sum_all(mul(
-                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+            lambda a: sum_all(mul(
+                ops.causal_attention(a, mask, 4), Tensor(r))), [qkv])
         assert err < 1e-6
 
     def test_batched_matches_per_slice(self):
-        q, k, v, mask, r = attention_inputs(24, (3,), 5, 0, d=8)
-        out = ops.causal_attention(q, k, v, mask, 4).data
-        grads = attention_grads(q, k, v, mask, 4, r)
+        qkv, mask, r = attention_inputs(24, (3,), 5, 0, d=8)
+        out = ops.causal_attention(qkv, mask, 4).data
+        grads = attention_grads(qkv, mask, 4, r)
         assert out.shape == (3, 5, 8)
         for b in range(3):
-            qb, kb, vb = (t64(t.data[b]) for t in (q, k, v))
+            qkv_b = t64(qkv.data[b])
             np.testing.assert_allclose(
-                out[b], ops.causal_attention(qb, kb, vb, mask, 4).data,
+                out[b], ops.causal_attention(qkv_b, mask, 4).data,
                 rtol=1e-12)
-            for g, gb in zip(grads, attention_grads(qb, kb, vb, mask, 4, r[b])):
+            for g, gb in zip(grads, attention_grads(qkv_b, mask, 4, r[b])):
                 np.testing.assert_allclose(g[b], gb, rtol=1e-12, atol=1e-15)
 
     def test_batched_gradcheck(self):
-        q, k, v, mask, r = attention_inputs(25, (2,), 3, 1, d=8)
+        qkv, mask, r = attention_inputs(25, (2,), 3, 1, d=8)
         err = gradcheck(
-            lambda *a: sum_all(mul(
-                ops.causal_attention(*a, mask, 4), Tensor(r))), [q, k, v])
+            lambda a: sum_all(mul(
+                ops.causal_attention(a, mask, 4), Tensor(r))), [qkv])
         assert err < 1e-6
 
 
@@ -676,6 +725,17 @@ class TestElementwiseOps:
             ops.pointer_mixture(h_src, h_t, w_vocab, None,
                                 np.zeros((1, 5)), np.zeros((1, 5), int), 12)
 
+    @pytest.mark.parametrize("pointed", [True, False])
+    def test_mixture_needs_one_mask_entry_per_source_id(self, pointed):
+        # numpy alone would broadcast the 1-D mask over both examples, its
+        # -1e9 column hiding a source row of example 0, and would stop a
+        # [2, 5] mask for 4 source ids with its own bare ValueError
+        h_src, h_t, w_vocab, pointer, _, ids = mixture_inputs((2,), pointed)
+        for mask in (np.array([0.0, 0.0, 0.0, -1e9]), np.zeros((2, 5))):
+            with pytest.raises(ShapeError, match="col_mask"):
+                ops.pointer_mixture(h_src, h_t, w_vocab, pointer, mask, ids,
+                                    8)
+
     def test_mixture_needs_a_source_position(self):
         h_src, h_t, w_vocab = (
             Tensor(np.zeros(shape))
@@ -926,8 +986,9 @@ def op_calls(dtype):
         ("take_rows", lambda x: ops.take_rows(x, [[0, 2], [1, 1]]),
          (t(3, 4),)),
         ("causal_attention",
-         lambda q, k, v: ops.causal_attention(q, k, v, mask, 2),
-         (t(2, 3, 4), t(2, 3, 4), t(2, 3, 4))),
+         lambda qkv: ops.causal_attention(qkv, mask, 2),
+         (Tensor(np.concatenate([t(2, 3, 4).data for _ in "qkv"], axis=-1),
+                 dtype=dtype),)),
         ("pointer_mixture",
          lambda hs, ht, wp, wv, wh, b, wc: ops.pointer_mixture(
              hs, ht, wv, (wp, wh, b, wc), np.zeros((2, 3)),
