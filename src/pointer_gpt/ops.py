@@ -3,7 +3,7 @@
 Every op computes its forward result eagerly in numpy and registers a
 backward closure on the active tape. The set is deliberately small: just
 what a decoder-only transformer with a pointer head needs. `matmul`,
-`transpose` and `mean_all` remain only for the benchmark's tracer test.
+`transpose` and `mean_all` are called only by tests, the bench's included.
 """
 
 from __future__ import annotations

@@ -73,17 +73,9 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-class Tape:
-    """Ordered record of primitive ops; execution order is topological."""
-
-    def __init__(self):
-        self._records = []  # (output, inputs, backward_fn)
-
-    def record(self, out, inputs, backward_fn):
-        self._records.append((out, inputs, backward_fn))
-
-    def __len__(self):
-        return len(self._records)
+class Tape(list):
+    """(output, inputs, backward_fn) records in execution order, which is
+    topological; inside ``with Tape() as tape`` ops record on ``tape``."""
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -105,7 +97,7 @@ def make_output(out_data, inputs, backward_fn):
         if t.requires_grad:
             out.requires_grad = True
             if _TAPE_STACK:
-                _TAPE_STACK[-1].record(out, inputs, backward_fn)
+                _TAPE_STACK[-1].append((out, inputs, backward_fn))
             break
     return out
 
@@ -124,7 +116,7 @@ def backward(tape, loss):
     if not loss.requires_grad:
         return {}
     grads = {loss: np.ones_like(loss.data)}
-    for out, inputs, backward_fn in reversed(tape._records):
+    for out, inputs, backward_fn in reversed(tape):
         out_grad = grads.pop(out, None)
         if out_grad is None:
             continue

@@ -12,7 +12,8 @@ from pointer_gpt import ops, optim
 from pointer_gpt.gradcheck import gradcheck
 from pointer_gpt.model import _causal_mask
 from pointer_gpt.optim import adam_step, clip_grad_norm
-from pointer_gpt.tensor import ContractError, ShapeError, Tape, Tensor, backward
+from pointer_gpt.tensor import (ContractError, ShapeError, Tape, Tensor,
+                                active_tape, backward)
 from pointer_gpt.trainer import TrainConfig
 from reference_ops import mul, softmax_rows, sum_all
 
@@ -443,6 +444,27 @@ class TestBackward:
         assert first.keys() == second.keys() == {x, w}
         for t in first:
             assert np.array_equal(first[t], second[t])
+
+
+class TestTapeNesting:
+    def test_ops_record_on_the_innermost_open_tape(self):
+        x = t64(np.ones(2))
+        assert active_tape() is None
+        with Tape() as outer:
+            a = sum_all(x)
+            with Tape() as inner:
+                b = sum_all(x)
+                c = sum_all(x)
+            d = sum_all(x)
+            with pytest.raises(RuntimeError), Tape() as failed:
+                e = sum_all(x)
+                raise RuntimeError("leaves the inner block")
+            f = sum_all(x)
+        assert active_tape() is None
+        assert sum_all(x).requires_grad  # and records nowhere
+        assert [rec[0] for rec in outer] == [a, d, f]
+        assert [rec[0] for rec in inner] == [b, c]
+        assert [rec[0] for rec in failed] == [e]
 
 
 def zero_moments(params):
@@ -882,8 +904,10 @@ def public_ops():
             and not name.startswith("_")]
 
 
-# called only by bench/test_bench.py's tracer test, which a change to the
-# benchmark may rewrite on ops the model runs
+# the model does not run these; bench/test_bench.py's tracer test calls all
+# three, and the reference op chains in tests/test_model.py and this file
+# call matmul and transpose, so moving them to tests/reference_ops.py must
+# repoint those chains too
 BENCH_PINNED = ("matmul", "transpose", "mean_all")
 
 
@@ -1022,7 +1046,7 @@ class TestOpOutputContract:
                 assert out.requires_grad is requires, where
                 assert len(tape) == int(requires), where
                 if requires:
-                    assert tape._records[0][0] is out, where
+                    assert tape[0][0] is out, where
                 # outside a tape the result is the same kind of tensor
                 bare = call(*inputs)
                 assert type(bare.data) is np.ndarray, where
