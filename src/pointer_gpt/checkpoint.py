@@ -15,7 +15,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import asdict
 from itertools import zip_longest
 
@@ -46,14 +45,10 @@ def save_checkpoint(params, config, path):
                               "%s, expected %s" % (i, *pairs[i]))
     header = json.dumps({"config": asdict(config)}).encode("utf-8")
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
+    tmp = os.path.join(os.path.dirname(path), os.urandom(8).hex() + ".tmp")
+    f = open(tmp, "xb")  # before the try: a failed create unlinks nothing
     try:
-        with os.fdopen(fd, "wb") as f:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(f.fileno(), 0o666 & ~umask)
+        with f:
             f.write(MAGIC)
             f.write(struct.pack("<I", VERSION))
             f.write(struct.pack("<I", len(header)))

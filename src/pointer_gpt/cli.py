@@ -12,8 +12,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DatasetError, load_dataset, require_tokens,
-                   split_by_index)
+from .data import load_dataset, require_tokens, split_by_index
 from .decoder import DecodeConfig, beam_decode
 from .model import ModelConfig, init_params, positions_needed
 from .rouge import format_report_table, rouge_report
@@ -42,7 +41,7 @@ def _load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError, RecursionError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise CliError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
@@ -223,7 +222,7 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):  # no numpy warnings: one error line
             return args.func(args)
-    except (CliError, DatasetError, TrainingError, ValueError, OSError) as e:
+    except (CliError, TrainingError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError as e:  # a model within MAX_PARAMS may still not fit

@@ -122,7 +122,7 @@ def backward(tape, loss):
             continue
         input_grads = backward_fn(out_grad)
         for inp, g in zip(inputs, input_grads):
-            if g is None or not inp.requires_grad:
+            if not inp.requires_grad:
                 continue
             grads[inp] = grads[inp] + g if inp in grads else g
     return grads

@@ -182,18 +182,52 @@ class TestCheckpoint:
         after = sequence_loss(loaded, [ex], cfg).data
         assert np.array_equal(before, after)
 
-    def test_file_gets_the_mode_open_gives(self, tmp_path):
-        # mkstemp creates 0600; under umask 022 open() creates 0644
+    @pytest.mark.parametrize("umask, mode", [
+        (0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+        ids=["022", "077", "002"])
+    def test_file_gets_the_mode_open_gives(self, tmp_path, umask, mode):
+        # open() gives 0666 less the umask; a fixed 0600, as tempfile's
+        # mkstemp gives, would pass only the 077 case
         params, cfg = tiny_model()
-        umask = os.umask(0o022)
+        old = os.umask(umask)
         try:
             save_checkpoint(params, cfg, str(tmp_path / "m.ckpt"))
             (tmp_path / "other").open("w").close()
         finally:
-            os.umask(umask)
+            os.umask(old)
         modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
                  for name in ("m.ckpt", "other")]
-        assert modes == [0o644, 0o644]
+        assert modes == [mode, mode]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        params, cfg = tiny_model()
+        (tmp_path / "m.ckpt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            save_checkpoint(params, cfg, str(tmp_path / "m.ckpt"))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert not any((tmp_path / "m.ckpt").iterdir())
+
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        params, cfg = tiny_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(params, cfg, str(path))
+        before = path.read_bytes()
+        calls, real = [], np.ascontiguousarray
+
+        def third_call_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", third_call_fails)
+        changed = {name: Tensor(t.data + 1.0) for name, t in params.items()}
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(changed, cfg, str(path))
+        assert len(calls) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        assert path.read_bytes() == before
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -618,6 +652,25 @@ class TestCliTrain:
                     + (["--out", str(out)] if command == "train" else []))
         assert code == 1
         assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"train": {"epochs": %s}}' % (b"9" * 5000),
+         "Exceeds the limit (4300 digits)"),
+    ], ids=["not-utf-8", "5000-digit-int"])
+    def test_unreadable_config_names_the_file(self, tmp_path, data_path,
+                                              capsys, blob, reason):
+        config = tmp_path / "bad.json"
+        config.write_bytes(blob)
+        out = tmp_path / "o"
+        code = main(["train", "--data", data_path, "--out", str(out),
+                     "--config", str(config)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config %s: %s"
+                              % (config, reason))
+        assert err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
