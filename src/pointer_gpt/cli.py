@@ -31,10 +31,6 @@ CONFIG_SECTIONS = {
 }
 
 
-class CliError(RuntimeError):
-    pass
-
-
 def _load_config_file(path):
     if path is None:
         return {}
@@ -42,28 +38,33 @@ def _load_config_file(path):
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
     except (OSError, ValueError, RecursionError) as e:
-        raise CliError("cannot read config %s: %s" % (path, e))
+        raise ValueError("cannot read config %s: %s" % (path, e))
     if not isinstance(cfg, dict):
-        raise CliError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     for name in cfg:
         if name not in CONFIG_SECTIONS:
-            raise CliError("config section %r is not one of %s"
-                           % (name, ", ".join(CONFIG_SECTIONS)))
+            raise ValueError("config section %r is not one of %s"
+                             % (name, ", ".join(CONFIG_SECTIONS)))
     for name, (defaults, cli_keys) in CONFIG_SECTIONS.items():
         section = cfg.get(name, {})
         if not isinstance(section, dict):
-            raise CliError("config section %r must be a JSON object" % name)
+            raise ValueError("config section %r must be a JSON object" % name)
         for key in section:
             if key in cli_keys:
-                raise CliError("config section %r: %r is set by the command "
-                               "line, not the config file" % (name, key))
+                raise ValueError("config section %r: %r is set by the "
+                                 "command line, not the config file"
+                                 % (name, key))
             if key not in defaults:
-                raise CliError("config section %r: unknown key %r"
-                               % (name, key))
+                raise ValueError("config section %r: unknown key %r"
+                                 % (name, key))
     return cfg
 
 
-def _prepare_corpus(records, cfg, seed, baseline):
+def _train_model(records, cfg, seed, baseline, out=None):
+    """Train one model. Once every config is built, `out` is made and its
+    older run's model.ckpt and vocab.txt go, as loss.log is rewritten: a
+    failed run leaves its own log and nothing of another run."""
+    train_cfg = TrainConfig(seed=seed, **cfg.get("train", {}))
     texts = [r.source for r in records] + [r.summary for r in records]
     vocab = build_vocab(texts, **{**CONFIG_SECTIONS["vocab"][0],
                                   **cfg.get("vocab", {})})
@@ -74,18 +75,9 @@ def _prepare_corpus(records, cfg, seed, baseline):
         ex = encode_example(rec.source, rec.summary, vocab)
         need = positions_needed(len(ex.source_ids), len(ex.target_ext_ids))
         if need > model_cfg.max_seq_len:
-            raise CliError("record %d needs %d positions but max_seq_len "
-                           "is %d" % (i, need, model_cfg.max_seq_len))
+            raise ValueError("record %d needs %d positions but max_seq_len "
+                             "is %d" % (i, need, model_cfg.max_seq_len))
         examples.append(ex)
-    return vocab, model_cfg, examples
-
-
-def _train_model(records, cfg, seed, baseline, out=None):
-    """Train one model. Once every config is built, `out` is made and its
-    older run's model.ckpt and vocab.txt go, as loss.log is rewritten: a
-    failed run leaves its own log and nothing of another run."""
-    train_cfg = TrainConfig(seed=seed, **cfg.get("train", {}))
-    vocab, model_cfg, examples = _prepare_corpus(records, cfg, seed, baseline)
     params = init_params(model_cfg)
     loss_log = None
     if out is not None:
@@ -95,13 +87,13 @@ def _train_model(records, cfg, seed, baseline, out=None):
                 os.remove(os.path.join(out, name))
         loss_log = os.path.join(out, "loss.log")
     train(params, examples, train_cfg, model_cfg, loss_log_path=loss_log)
-    return vocab, model_cfg, params
+    return params, model_cfg, vocab
 
 
 def cmd_train(args):
     records = load_dataset(args.data)
     cfg = _load_config_file(args.config)
-    vocab, model_cfg, params = _train_model(records, cfg, args.seed,
+    params, model_cfg, vocab = _train_model(records, cfg, args.seed,
                                             args.baseline, out=args.out)
     vocab.save(os.path.join(args.out, "vocab.txt"))
     save_checkpoint(params, model_cfg, os.path.join(args.out, "model.ckpt"))
@@ -117,13 +109,22 @@ def _decode_text(params, model_cfg, vocab, text, dcfg):
     return decode(hyp.ids, vocab, oov)  # decode drops EOS
 
 
+def _score(params, model_cfg, vocab, records, dcfg):
+    """The one path from a model to a ROUGE row: (label, report) of the
+    records' decoded sources against their summaries."""
+    candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
+                  for r in records]
+    label = "GPT-baseline" if model_cfg.baseline else "PointerGPT"
+    return label, rouge_report(candidates, [r.summary for r in records])
+
+
 def _load_model(directory):
     """The model `train --out directory` wrote; the smaller file first."""
     vocab = Vocabulary.load(os.path.join(directory, "vocab.txt"))
     params, model_cfg = load_checkpoint(os.path.join(directory, "model.ckpt"))
     if vocab.size != model_cfg.vocab_size:
-        raise CliError("vocabulary size %d does not match checkpoint "
-                       "vocab_size %d" % (vocab.size, model_cfg.vocab_size))
+        raise ValueError("vocabulary size %d does not match checkpoint "
+                         "vocab_size %d" % (vocab.size, model_cfg.vocab_size))
     return params, model_cfg, vocab
 
 
@@ -143,12 +144,8 @@ def cmd_summarize(args):
 def cmd_evaluate(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
     records = load_dataset(args.data)
-    params, model_cfg, vocab = _load_model(args.model)
-    candidates = [_decode_text(params, model_cfg, vocab, r.source, dcfg)
-                  for r in records]
-    report = rouge_report(candidates, [r.summary for r in records])
-    print(format_report_table([("PointerGPT" if not model_cfg.baseline
-                                else "GPT-baseline", report)]))
+    row = _score(*_load_model(args.model), records, dcfg)
+    print(format_report_table([row]))
     return 0
 
 
@@ -157,18 +154,10 @@ def run_compare(records, cfg, seed):
     summaries decoded with DecodeConfig(), `evaluate`'s default."""
     train_recs, eval_recs = split_by_index(records)
     if not train_recs or not eval_recs:
-        raise CliError("dataset too small for an 80/20 split")
-    rows = []
-    for label, baseline in (("GPT-baseline", True), ("PointerGPT", False)):
-        vocab, model_cfg, params = _train_model(
-            train_recs, cfg, seed, baseline)
-        candidates = [_decode_text(params, model_cfg, vocab, r.source,
-                                   DecodeConfig())
-                      for r in eval_recs]
-        rows.append((label,
-                     rouge_report(candidates,
-                                  [r.summary for r in eval_recs])))
-    return rows
+        raise ValueError("dataset too small for an 80/20 split")
+    return [_score(*_train_model(train_recs, cfg, seed, baseline), eval_recs,
+                   DecodeConfig())
+            for baseline in (True, False)]
 
 
 def cmd_compare(args):
@@ -222,7 +211,7 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):  # no numpy warnings: one error line
             return args.func(args)
-    except (CliError, TrainingError, ValueError, OSError) as e:
+    except (TrainingError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError as e:  # a model within MAX_PARAMS may still not fit

@@ -37,7 +37,7 @@ def load_dataset(path):
                 continue
             try:
                 obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as e:
+            except (ValueError, RecursionError) as e:
                 raise DatasetError("line %d: invalid JSON (%s)"
                                    % (lineno, getattr(e, "msg", e))) from e
             if not isinstance(obj, dict):

@@ -4,8 +4,11 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import re
 import shutil
 import stat
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import pointer_gpt
 from pointer_gpt import checkpoint, cli
 from pointer_gpt.checkpoint import (MAGIC, VERSION, CheckpointError,
                                     load_checkpoint, save_checkpoint)
@@ -673,6 +677,20 @@ class TestCliTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_oversized_integer_in_the_dataset_names_the_line(
+            self, tmp_path, capsys):
+        # json.loads rejects it with a ValueError, not a JSONDecodeError
+        data = tmp_path / "big.jsonl"
+        data.write_text('{"source": "a b", "summary": "a"}\n'
+                        '{"source": "a b", "summary": %s}\n' % ("9" * 5000))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: invalid JSON (Exceeds the "
+                              "limit (4300 digits)")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("n_heads", 0), ("n_layers", 0), ("d_ff", -3), ("d_model", 0)])
     def test_non_positive_dimension_is_one_error_line(
@@ -1033,6 +1051,24 @@ class TestCliEvaluate:
                 assert captured.err == "error: dataset %s is empty\n" % data
                 assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flag", [
+        ("evaluate", "--data"), ("summarize", "--input")])
+    def test_vocabulary_one_line_longer_is_one_error_line(
+            self, trained, tmp_path, capsys, command, flag):
+        _, run, data = trained
+        copy = tmp_path / "run"
+        shutil.copytree(run, copy)
+        with open(copy / "vocab.txt", "a", encoding="utf-8") as f:
+            f.write("notaword\n")
+        _, model_cfg = load_checkpoint(str(copy / "model.ckpt"))
+        size = model_cfg.vocab_size
+        assert main([command, "--model", str(copy), flag, data]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: vocabulary size %d does not match "
+                                "checkpoint vocab_size %d\n"
+                                % (size + 1, size))
+        assert captured.out == ""
+
     def test_report_table_layout(self, trained, capsys):
         _, run, data = trained
         main(["evaluate", "--model", run, "--data", data])
@@ -1072,6 +1108,43 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "GPT-baseline" in out and "PointerGPT" in out
         assert out.count("Rouge-1") == 2 and out.count("Rouge-2") == 2
+
+    def test_one_record_is_too_small_to_split(self, tmp_path, capsys):
+        data = tmp_path / "one.jsonl"
+        save_dataset(RECORDS[:1], str(data))
+        assert main(["compare", "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: dataset too small for an 80/20 split\n")
+        assert captured.out == ""
+
+    def test_rows_are_train_and_evaluate_on_the_same_split(
+            self, tmp_path, monkeypatch):
+        # compare decodes its held-out split as evaluate does by default
+        records = synthetic_copy_task(30, seed=1)
+        cfg = {"vocab": {"max_size": 40},
+               "model": {"d_model": 16, "n_heads": 2, "n_layers": 1,
+                         "d_ff": 32, "max_seq_len": 48},
+               "train": {"epochs": 1, "batch_size": 4}}
+        rows = run_compare(records, cfg, seed=0)
+        train_recs, eval_recs = split_by_index(records)
+        train_data = tmp_path / "train.jsonl"
+        eval_data = tmp_path / "eval.jsonl"
+        config = tmp_path / "config.json"
+        save_dataset(train_recs, str(train_data))
+        save_dataset(eval_recs, str(eval_data))
+        config.write_text(json.dumps(cfg))
+        tables = []
+        monkeypatch.setattr(cli, "format_report_table",
+                            lambda table: tables.append(table) or "")
+        for variant in (["--baseline"], []):
+            out = tmp_path / ("run%d" % len(variant))
+            assert main(["train", "--data", str(train_data), "--out",
+                         str(out), "--config", str(config), "--seed", "0"]
+                        + variant) == 0
+            assert main(["evaluate", "--model", str(out),
+                         "--data", str(eval_data)]) == 0
+        assert [row for table in tables for row in table] == rows
 
     def test_negative_seed_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "copy.jsonl"
@@ -1125,6 +1198,45 @@ class TestDeeplyNestedJson:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+
+def package_exception_classes():
+    """Every exception class that a module of pointer_gpt defines."""
+    found = []
+    for info in pkgutil.iter_modules(pointer_gpt.__path__):
+        module = importlib.import_module("pointer_gpt." + info.name)
+        found += [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(cls, BaseException)
+                  and cls.__module__ == module.__name__]
+    return found
+
+
+def evaluate_raising(monkeypatch, tmp_path, error_class):
+    """main(["evaluate", ...]) with load_dataset raising error_class."""
+    def load_dataset(path):
+        raise error_class("boom")
+
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    return main(["evaluate", "--model", str(tmp_path),
+                 "--data", str(tmp_path / "data.jsonl")])
+
+
+@pytest.mark.parametrize("error_class", package_exception_classes(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_exception_is_one_error_line(monkeypatch, tmp_path,
+                                                   capsys, error_class):
+    assert evaluate_raising(monkeypatch, tmp_path, error_class) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: boom"]
+
+
+def test_an_exception_class_main_does_not_catch_is_found(monkeypatch,
+                                                          tmp_path):
+    # mutation control: a RuntimeError subclass that main does not list
+    stray = type("StrayError", (RuntimeError,), {"__module__": cli.__name__})
+    monkeypatch.setattr(cli, "StrayError", stray, raising=False)
+    assert stray in package_exception_classes()
+    with pytest.raises(stray):
+        evaluate_raising(monkeypatch, tmp_path, stray)
 
 
 def test_readme_config_block_lists_the_config_file_defaults():
