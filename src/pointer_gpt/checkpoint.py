@@ -27,10 +27,6 @@ MAGIC = b"PGPT"
 VERSION = 4
 
 
-class CheckpointError(ValueError):
-    pass
-
-
 def save_checkpoint(params, config, path):
     """Atomic write: temp file in the target directory, then rename. The
     params must have `param_specs(config)`'s names, order and shapes, the
@@ -41,8 +37,8 @@ def save_checkpoint(params, config, path):
     if given != shapes:
         pairs = list(zip_longest(given, shapes, fillvalue="nothing"))
         i = next(i for i, (got, want) in enumerate(pairs) if got != want)
-        raise CheckpointError("params do not match the config: entry %d is "
-                              "%s, expected %s" % (i, *pairs[i]))
+        raise ValueError("params do not match the config: entry %d is "
+                         "%s, expected %s" % (i, *pairs[i]))
     header = json.dumps({"config": asdict(config)}).encode("utf-8")
 
     tmp = os.path.join(os.path.dirname(path), os.urandom(8).hex() + ".tmp")
@@ -72,31 +68,31 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
-        raise CheckpointError("%s is not a checkpoint (bad magic)" % path)
+        raise ValueError("%s is not a checkpoint (bad magic)" % path)
     if len(raw) < 12:
-        raise CheckpointError("%s is truncated (no header)" % path)
+        raise ValueError("%s is truncated (no header)" % path)
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
-        raise CheckpointError("checkpoint format version %d is not "
-                              "supported (expected %d)" % (version, VERSION))
+        raise ValueError("checkpoint format version %d is not "
+                         "supported (expected %d)" % (version, VERSION))
     (header_len,) = struct.unpack_from("<I", raw, 8)
     header_end = 12 + header_len
     if len(raw) < header_end:
-        raise CheckpointError("%s is truncated (incomplete header)" % path)
+        raise ValueError("%s is truncated (incomplete header)" % path)
     try:
         header = json.loads(raw[12:header_end].decode("utf-8"))
         config = ModelConfig(**header["config"])
     except (ValueError, KeyError, TypeError, RecursionError) as e:
-        raise CheckpointError("corrupt checkpoint header: %s" % e) from e
+        raise ValueError("corrupt checkpoint header: %s" % e) from e
 
     specs = param_specs(config)
     total = 4 * sum(math.prod(shape) for shape, _ in specs.values())
     if len(raw) - header_end != total:
-        raise CheckpointError("%s: payload has %d bytes, expected %d"
-                              % (path, len(raw) - header_end, total))
+        raise ValueError("%s: payload has %d bytes, expected %d"
+                         % (path, len(raw) - header_end, total))
     payload = np.frombuffer(raw, "<f4", total // 4, header_end)
     if not np.isfinite(payload).all():
-        raise CheckpointError("%s: payload holds a NaN or inf weight" % path)
+        raise ValueError("%s: payload holds a NaN or inf weight" % path)
     tensors, offset = {}, 0
     for name, (shape, _) in specs.items():
         size = math.prod(shape)

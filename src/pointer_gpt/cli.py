@@ -18,7 +18,7 @@ from .model import ModelConfig, init_params, positions_needed
 from .rouge import format_report_table, rouge_report
 from .tokenizer import (Vocabulary, build_vocab, decode, encode_example,
                         encode_source)
-from .trainer import TrainConfig, TrainingError, train
+from .trainer import TrainConfig, train
 
 # section: ({key: default}, keys the command line sets itself); the
 # constructors check each value
@@ -130,11 +130,15 @@ def _load_model(directory):
 
 def cmd_summarize(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
-    if args.input == "-":
-        text = sys.stdin.read()
+    if args.input == "-":  # bytes: stdin's own decoding may be lenient
+        raw = sys.stdin.buffer.read()
     else:
-        with open(args.input, "r", encoding="utf-8") as f:
-            text = f.read()
+        with open(args.input, "rb") as f:
+            raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError("cannot read input %s: %s" % (args.input, e))
     require_tokens(text, "input %s" % args.input)
     params, model_cfg, vocab = _load_model(args.model)
     print(_decode_text(params, model_cfg, vocab, text, dcfg))
@@ -211,7 +215,7 @@ def main(argv=None):
     try:
         with np.errstate(all="ignore"):  # no numpy warnings: one error line
             return args.func(args)
-    except (TrainingError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError as e:  # a model within MAX_PARAMS may still not fit

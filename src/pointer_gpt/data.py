@@ -18,42 +18,43 @@ class DatasetRecord:
     summary: str
 
 
-class DatasetError(ValueError):
-    """Malformed dataset file."""
-
-
 def require_tokens(text, what):
     """The one empty-text rule: text must keep a token after tokenize."""
     if not tokenize(text):
-        raise DatasetError("%s is empty after tokenization" % what)
+        raise ValueError("%s is empty after tokenization" % what)
 
 
 def load_dataset(path):
     """JSONL with string fields "source" and "summary"; blank lines skipped."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # the line ends text mode splits on
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise DatasetError("line %d: invalid JSON (%s)"
-                                   % (lineno, getattr(e, "msg", e))) from e
-            if not isinstance(obj, dict):
-                raise DatasetError("line %d: expected a JSON object" % lineno)
-            for fieldname in ("source", "summary"):
-                if fieldname not in obj:
-                    raise DatasetError('line %d: missing field "%s"'
-                                       % (lineno, fieldname))
-                if not isinstance(obj[fieldname], str):
-                    raise DatasetError('line %d: field "%s" must be a string'
-                                       % (lineno, fieldname))
-                require_tokens(obj[fieldname],
-                               'line %d: field "%s"' % (lineno, fieldname))
-            records.append(DatasetRecord(obj["source"], obj["summary"]))
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError("line %d: %s" % (lineno, e)) from e
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as e:
+            raise ValueError("line %d: invalid JSON (%s)"
+                             % (lineno, getattr(e, "msg", e))) from e
+        if not isinstance(obj, dict):
+            raise ValueError("line %d: expected a JSON object" % lineno)
+        for fieldname in ("source", "summary"):
+            if fieldname not in obj:
+                raise ValueError('line %d: missing field "%s"'
+                                 % (lineno, fieldname))
+            if not isinstance(obj[fieldname], str):
+                raise ValueError('line %d: field "%s" must be a string'
+                                 % (lineno, fieldname))
+            require_tokens(obj[fieldname],
+                           'line %d: field "%s"' % (lineno, fieldname))
+        records.append(DatasetRecord(obj["source"], obj["summary"]))
     if not records:
-        raise DatasetError("dataset %s is empty" % path)
+        raise ValueError("dataset %s is empty" % path)
     return records
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import feed_ids, forward_hidden, pointer_head, positions_needed
 from .ops import LOG_FLOOR
-from .tensor import ContractError, Tensor, require_int
+from .tensor import Tensor, require_int
 from .tokenizer import EOS, SEP
 
 
@@ -56,7 +56,7 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
     of the previous call's by one id gathers its parents' rows and runs the
     k new ids as one forward; a call that repeats the previous prefixes
     reuses their rows; [()] restarts at the root. Any other call raises
-    ContractError."""
+    ValueError."""
     v = config.vocab_size
     root = []
     h_src = forward_hidden(params, [list(source_ids) + [SEP]], config,
@@ -75,8 +75,8 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
         elif keys != live:
             rows = {key: j for j, key in enumerate(live)}
             if not all(key and key[:-1] in rows for key in keys):
-                raise ContractError("step_fn prefixes must each extend one "
-                                    "of the previous call's by one id")
+                raise ValueError("step_fn prefixes must each extend one "
+                                 "of the previous call's by one id")
             parents = [rows[key[:-1]] for key in keys]
             cache = [c[parents] for c in cache]
             feed = [feed_ids(key[-1:], v) for key in keys]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ContractError, Tensor, active_tape, require_int
+from .tensor import Tensor, active_tape, require_int
 from .tokenizer import PAD, SEP, SPECIAL_TOKENS, UNK
 
 NEG_INF = -1e9
@@ -126,13 +126,13 @@ def forward_hidden(params, input_ids, config, cache=None):
     ``cache`` (inference only; empty at first) is a list of per-layer qkv
     arrays [..., T_past, 3 * d_model]; the ids continue at position T_past."""
     if cache is not None and active_tape() is not None:
-        raise ContractError("forward_hidden with a cache cannot run under a "
-                            "Tape: the qkv concatenation has no backward")
+        raise ValueError("forward_hidden with a cache cannot run under a "
+                         "Tape: the qkv concatenation has no backward")
     ids = np.asarray(input_ids, dtype=np.int64)
     t_len = ids.shape[-1]
     t_past = cache[0].shape[-2] if cache else 0
     if ids.size == 0:
-        raise ContractError("empty input sequence")
+        raise ValueError("empty input sequence")
     if t_past + t_len > config.max_seq_len:
         raise ValueError("sequence length %d exceeds max_seq_len %d"
                          % (t_past + t_len, config.max_seq_len))
@@ -177,8 +177,8 @@ def pointer_step(params, hidden, step, source_ext_ids, oov_count, config):
     one position of hidden [T, d], for step >= S = len(source_ext_ids)."""
     s = len(source_ext_ids)
     if step < s:
-        raise ContractError("pointer_step at %d precedes end of source %d"
-                            % (step, s))
+        raise ValueError("pointer_step at %d precedes end of source %d"
+                         % (step, s))
     mixed, attn, p_gen = pointer_head(
         params, ops.take_rows(hidden, [np.arange(s)]),
         ops.take_rows(hidden, [[step]]), [source_ext_ids],
@@ -212,11 +212,11 @@ def sequence_loss(params, examples, config):
     [B, T] forward."""
     b = len(examples)
     if b < 1:
-        raise ContractError("sequence_loss needs at least one example")
+        raise ValueError("sequence_loss needs at least one example")
     src = np.array([len(ex.source_ids) for ex in examples])
     tgt = np.array([len(ex.target_ext_ids) for ex in examples])
     if min(src.min(), tgt.min()) < 1:
-        raise ContractError("example has an empty source or target")
+        raise ValueError("example has an empty source or target")
     need = int(positions_needed(src, tgt).max())
     s, n = int(src.max()), int(tgt.max())
     ids = np.full((b, need), PAD)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .tensor import ShapeError, ContractError, Tensor, make_output
+from .tensor import Tensor, make_output
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
@@ -49,11 +49,11 @@ def matmul(a, b):
     or b is 2-D and multiplies every leading slice of a."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or (bd.ndim != 2 and ad.shape[:-2] != bd.shape[:-2]):
-        raise ShapeError("matmul expects operands of rank >= 2 with equal "
+        raise ValueError("matmul expects operands of rank >= 2 with equal "
                          "batch axes or a 2-D right operand, got %s and %s"
                          % (ad.shape, bd.shape))
     if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError("matmul inner dimensions differ: %s vs %s"
+        raise ValueError("matmul inner dimensions differ: %s vs %s"
                          % (ad.shape, bd.shape))
     out = ad @ bd
 
@@ -154,10 +154,10 @@ def take_rows(table, indices):
     idx = np.asarray(indices, dtype=np.int64)
     lead = td.shape[:-2]
     if idx.shape[:len(lead)] != lead:
-        raise ShapeError("take_rows: indices %s do not lead with the batch "
+        raise ValueError("take_rows: indices %s do not lead with the batch "
                          "axes of table %s" % (idx.shape, td.shape))
     if idx.size and (idx.min() < 0 or idx.max() >= td.shape[-2]):
-        raise ContractError("row index out of range [0, %d)" % td.shape[-2])
+        raise ValueError("row index out of range [0, %d)" % td.shape[-2])
     key = _lead_index(lead, idx.ndim) + (idx,)
     out = td[key]
 
@@ -218,14 +218,14 @@ def pointer_mixture(h_src, h_t, w_vocab, pointer, col_mask, ext_ids, width):
     rows = np.index_exp[..., :ids.shape[-1] if ids.ndim else 0, :]
     hs, ht, wv = h_src.data[rows], h_t.data, w_vocab.data
     if ht.shape[:-2] != hs.shape[:-2]:
-        raise ShapeError("h_t %s vs h_src %s" % (ht.shape, h_src.shape))
+        raise ValueError("h_t %s vs h_src %s" % (ht.shape, h_src.shape))
     if ids.shape != hs.shape[:-1] or np.shape(col_mask) != ids.shape:
-        raise ShapeError("ext_ids %s and col_mask %s vs h_src %s" % (
+        raise ValueError("ext_ids %s and col_mask %s vs h_src %s" % (
             ids.shape, np.shape(col_mask), h_src.shape))
     if hs.shape[-2] < 1:
-        raise ContractError("pointer_mixture needs a source position")
+        raise ValueError("pointer_mixture needs a source position")
     if ids.size and (ids.min() < 0 or ids.max() >= width):
-        raise ContractError("ext_ids out of range [0, %d)" % width)
+        raise ValueError("ext_ids out of range [0, %d)" % width)
     vocab, n_vocab = _softmax(ht @ wv), wv.shape[-1]
     out = np.zeros(vocab.shape[:-1] + (width,), dtype=vocab.dtype)
     if pointer is None:
@@ -279,12 +279,12 @@ def nll(probs, targets, weights):
     pd = probs.data
     idx = np.asarray(targets, dtype=np.int64)
     if idx.shape != pd.shape[:-1]:
-        raise ShapeError("need one target per row")
+        raise ValueError("need one target per row")
     if idx.size and (idx.min() < 0 or idx.max() >= pd.shape[-1]):
-        raise ContractError("target out of range")
+        raise ValueError("target out of range")
     weights = np.asarray(weights, dtype=pd.dtype)
     if weights.shape != idx.shape:
-        raise ShapeError("need one weight per row")
+        raise ValueError("need one weight per row")
     cols = idx[..., None]
     picked = np.take_along_axis(pd, cols, axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_FLOOR)

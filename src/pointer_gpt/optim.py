@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 
-from .tensor import ContractError
 
 # Kingma & Ba's (2015) defaults, the only values the project trains with
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -17,8 +16,8 @@ def adam_step(params, grads, moments, t, tcfg):
     EPS; grads[i] and moments[i] = (m, v), updated in place, belong to
     params[i]."""
     if len(grads) != len(params):
-        raise ContractError("adam_step: %d grads for %d parameters"
-                            % (len(grads), len(params)))
+        raise ValueError("adam_step: %d grads for %d parameters"
+                         % (len(grads), len(params)))
     b1, b2 = BETA1, BETA2
     correction1 = 1.0 - b1 ** t
     root2 = math.sqrt(1.0 - b2 ** t)

@@ -15,17 +15,7 @@ __all__ = [
     "Tape",
     "backward",
     "active_tape",
-    "ContractError",
-    "ShapeError",
 ]
-
-
-class ContractError(ValueError):
-    """An operation was called outside its contract."""
-
-
-class ShapeError(ContractError):
-    """Operand shapes are incompatible."""
 
 
 def require_int(name, value, low):
@@ -111,8 +101,8 @@ def backward(tape, loss):
     bit-identical results.
     """
     if loss.data.size != 1:
-        raise ContractError("backward expects a scalar loss, got shape %s"
-                            % (tuple(loss.shape),))
+        raise ValueError("backward expects a scalar loss, got shape %s"
+                         % (tuple(loss.shape),))
     if not loss.requires_grad:
         return {}
     grads = {loss: np.ones_like(loss.data)}

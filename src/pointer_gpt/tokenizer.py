@@ -54,8 +54,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().split("\n")
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                lines = f.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise ValueError("cannot read vocabulary %s: %s" % (path, e))
         if lines and lines[-1] == "":
             lines.pop()
         if lines[:len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:

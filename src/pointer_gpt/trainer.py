@@ -14,10 +14,6 @@ from .tensor import Tape, backward, require_int
 MAX_GRAD_NORM = 1.0  # the global gradient-norm bound of every step
 
 
-class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or weight)."""
-
-
 @dataclass
 class TrainConfig:
     lr: float = 3e-4
@@ -64,9 +60,8 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                         params, [dataset[i] for i in batch], mcfg)
                 value = float(batch_loss.data)
                 if not np.isfinite(value):
-                    raise TrainingError(
-                        "non-finite loss at step %d (examples %s)"
-                        % (step, batch.tolist()))
+                    raise ValueError("non-finite loss at step %d (examples %s)"
+                                     % (step, batch.tolist()))
                 grads = backward(tape, batch_loss)
                 grads, _norm = clip_grad_norm([grads[p] for p in tensors],
                                               MAX_GRAD_NORM)
@@ -80,6 +75,6 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
             log.close()
     # an Adam step can overflow float32 after the last loss was checked
     if not all(np.isfinite(p.data).all() for p in tensors):
-        raise TrainingError("training left a NaN or inf weight after step %d"
-                            % step)
+        raise ValueError("training left a NaN or inf weight after step %d"
+                         % step)
     return report

@@ -12,8 +12,7 @@ from pointer_gpt.model import (
     MAX_LAYERS, MAX_PARAMS, ModelConfig, _attention, _causal_mask,
     init_params, forward_hidden, param_specs, pointer_step, sequence_loss, teacher_forced_ids,
 )
-from pointer_gpt.tensor import (ContractError, Tape, Tensor, backward,
-                                make_output)
+from pointer_gpt.tensor import Tape, Tensor, backward, make_output
 from pointer_gpt.tokenizer import EOS, SEP, UNK, EncodedExample
 from reference_ops import mul, softmax_rows, sum_all
 
@@ -182,7 +181,7 @@ class TestKVCache:
     def test_cache_under_tape_rejected(self):
         cfg = tiny_config()
         p = init_params(cfg)
-        with Tape(), pytest.raises(ContractError, match="Tape"):
+        with Tape(), pytest.raises(ValueError, match="Tape"):
             forward_hidden(p, [5, 6], cfg, cache=[])
 
     def test_cached_total_length_checked(self):
@@ -579,12 +578,14 @@ class TestPointerStep:
         assert type(p_gen) is float
 
     def test_step_before_source_end_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="pointer_step at %d precedes end "
+                           "of source %d" % (self.s - 1, self.s)):
             pointer_step(self.params, self.hidden, self.s - 1, self.ext, 1,
                          self.cfg)
 
     def test_inconsistent_oov_count_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match=r"ext_ids out of range \[0, %d\)"
+                           % self.cfg.vocab_size):
             pointer_step(self.params, self.hidden, self.s + 1, self.ext, 0,
                          self.cfg)
 
@@ -712,7 +713,7 @@ class TestSequenceLoss:
         # the batch has source columns, but the empty example's are padding
         cfg = tiny_config()
         empty = EncodedExample([], [], [], [6, EOS])
-        with pytest.raises(ContractError, match="empty source or target"):
+        with pytest.raises(ValueError, match="empty source or target"):
             sequence_loss(init_params(cfg), [TOY_EXAMPLE, empty], cfg)
 
     def test_loss_is_finite_and_positive_at_init(self):
@@ -818,7 +819,7 @@ class TestBatchedSequenceLoss:
 
     def test_empty_batch_rejected(self):
         cfg = tiny_config()
-        with pytest.raises(ContractError, match="at least one example"):
+        with pytest.raises(ValueError, match="at least one example"):
             sequence_loss(init_params(cfg), [], cfg)
 
 

@@ -9,7 +9,7 @@ from pointer_gpt.model import (ModelConfig, init_params, param_specs,
                                sequence_loss)
 from pointer_gpt.tensor import Tape, backward
 from pointer_gpt.tokenizer import build_vocab, encode_example
-from pointer_gpt.trainer import TrainConfig, TrainingError, train
+from pointer_gpt.trainer import TrainConfig, train
 
 SRC = "patient reports chronic sob and cough with mild fever ."
 TGT = "chronic sob and cough ."
@@ -111,7 +111,7 @@ class TestTrain:
         # seed 3 shuffles the first batch to [2, 1]: named in that order
         first = np.random.default_rng(3).permutation(3)[:2].tolist()
         assert first == [2, 1]
-        with pytest.raises(TrainingError) as err:
+        with pytest.raises(ValueError) as err:
             train(params, dataset, TrainConfig(batch_size=2, seed=3), cfg)
         assert str(err.value) == ("non-finite loss at step 0 (examples %s)"
                                   % first)
