@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import pointer_gpt
-from pointer_gpt import checkpoint, cli
+from pointer_gpt import checkpoint, cli, ops
 from pointer_gpt.checkpoint import (MAGIC, VERSION, load_checkpoint,
                                     save_checkpoint)
 from pointer_gpt.cli import CONFIG_SECTIONS, main, run_compare
@@ -32,8 +32,9 @@ from pointer_gpt.model import (ModelConfig, init_params, param_specs,
                                sequence_loss)
 from pointer_gpt.tensor import Tensor
 from pointer_gpt.decoder import DecodeConfig, beam_decode
-from pointer_gpt.tokenizer import (Vocabulary, decode, encode_example,
-                                   encode_source)
+from pointer_gpt.tokenizer import (Vocabulary, build_vocab, decode,
+                                   encode_example, encode_source)
+from pointer_gpt.trainer import TrainConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1287,6 +1288,53 @@ def evaluate_raising(monkeypatch, tmp_path, error_class):
 def test_package_defines_no_exception_class():
     # every error is a ValueError, which main turns into one error line
     assert package_exception_classes() == []
+
+
+def raise_bad_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(b"NOPE" + b"\x00" * 20)
+    load_checkpoint(str(path))
+
+
+def raise_bad_dataset(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"source": "a", "summary": "b"}\n{oops\n')
+    load_dataset(str(path))
+
+
+def raise_non_finite_loss(tmp_path):
+    vocab = build_vocab(["a b c", "a"], max_size=10)
+    cfg = ModelConfig(vocab_size=vocab.size, d_model=8, n_heads=2,
+                      n_layers=1, d_ff=16, max_seq_len=16, seed=0)
+    params = init_params(cfg)
+    params["w_vocab"].data[0, 0] = np.nan
+    train(params, [encode_example("a b c", "a", vocab)],
+          TrainConfig(batch_size=1), cfg)
+
+
+# one raise site of each kind that had an exception class of its own before
+# every error became a ValueError; the ids are those former class names
+FORMER_ERROR_KINDS = {
+    "CheckpointError": raise_bad_checkpoint,
+    "ContractError": lambda tmp_path: sequence_loss({}, [], None),
+    "DatasetError": raise_bad_dataset,
+    "ShapeError": lambda tmp_path: ops.matmul(Tensor(np.ones(3)),
+                                              Tensor(np.ones((3, 2)))),
+    "TrainingError": raise_non_finite_loss,
+}
+
+
+@pytest.mark.parametrize("raise_error", FORMER_ERROR_KINDS.values(),
+                         ids=FORMER_ERROR_KINDS.keys())
+def test_every_package_exception_is_one_error_line(monkeypatch, tmp_path,
+                                                   capsys, raise_error):
+    with pytest.raises(ValueError) as info:
+        raise_error(tmp_path)
+    monkeypatch.setattr(cli, "load_dataset",
+                        lambda path: raise_error(tmp_path))
+    assert main(["evaluate", "--model", str(tmp_path),
+                 "--data", str(tmp_path / "data.jsonl")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: %s" % info.value]
 
 
 def test_an_exception_class_main_does_not_catch_is_found(monkeypatch,
