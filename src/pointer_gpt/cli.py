@@ -99,7 +99,6 @@ def cmd_train(args):
     save_checkpoint(params, model_cfg, os.path.join(args.out, "model.ckpt"))
     print("trained %d records; artifacts written to %s"
           % (len(records), args.out))
-    return 0
 
 
 def _decode_text(params, model_cfg, vocab, text, dcfg):
@@ -130,11 +129,10 @@ def _load_model(directory):
 
 def cmd_summarize(args):
     dcfg = DecodeConfig(max_summary_len=args.max_len, beam_width=args.beam)
-    if args.input == "-":  # bytes: stdin's own decoding may be lenient
-        raw = sys.stdin.buffer.read()
-    else:
-        with open(args.input, "rb") as f:
-            raw = f.read()
+    # - is fd 0, read as bytes like a file; a closed one fails with EBADF
+    with open(0 if args.input == "-" else args.input, "rb",
+              closefd=args.input != "-") as f:
+        raw = f.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -142,7 +140,6 @@ def cmd_summarize(args):
     require_tokens(text, "input %s" % args.input)
     params, model_cfg, vocab = _load_model(args.model)
     print(_decode_text(params, model_cfg, vocab, text, dcfg))
-    return 0
 
 
 def cmd_evaluate(args):
@@ -150,7 +147,6 @@ def cmd_evaluate(args):
     records = load_dataset(args.data)
     row = _score(*_load_model(args.model), records, dcfg)
     print(format_report_table([row]))
-    return 0
 
 
 def run_compare(records, cfg, seed):
@@ -168,7 +164,6 @@ def cmd_compare(args):
     records = load_dataset(args.data)
     rows = run_compare(records, _load_config_file(args.config), args.seed)
     print(format_report_table(rows))
-    return 0
 
 
 def build_parser():
@@ -177,35 +172,37 @@ def build_parser():
         description="Train and evaluate a pointer-augmented GPT summarizer.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model and write artifacts")
-    p.add_argument("--data", required=True, help="JSONL dataset path")
+    data = argparse.ArgumentParser(add_help=False)  # shared flag groups
+    data.add_argument("--data", required=True, help="JSONL dataset path")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="JSON config file")
+    run.add_argument("--seed", type=int, default=0)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True, help="train --out directory")
+    model.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
+    model.add_argument("--max-len", type=int,
+                       default=DecodeConfig.max_summary_len)
+
+    p = sub.add_parser("train", parents=[data, run],
+                       help="train a model and write artifacts")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", action="store_true",
                    help="GPT: vocabulary softmax only, no pointer")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("summarize", help="summarize one document")
-    p.add_argument("--model", required=True, help="train --out directory")
+    p = sub.add_parser("summarize", parents=[model],
+                       help="summarize one document")
     p.add_argument("--input", required=True, help="text file or - for stdin")
-    p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
-    p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
     p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("evaluate", help="ROUGE report over a dataset")
-    p.add_argument("--model", required=True, help="train --out directory")
-    p.add_argument("--data", required=True)
-    p.add_argument("--beam", type=int, default=DecodeConfig.beam_width)
-    p.add_argument("--max-len", type=int, default=DecodeConfig.max_summary_len)
+    # model first: a usage error names the missing --model before --data
+    p = sub.add_parser("evaluate", parents=[model, data],
+                       help="ROUGE report over a dataset")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("compare", help="baseline vs pointer on an 80/20 split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("compare", parents=[data, run],
+                       help="baseline vs pointer on an 80/20 split")
     p.set_defaults(func=cmd_compare)
-
     return parser
 
 
@@ -214,13 +211,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # no numpy warnings: one error line
-            return args.func(args)
+            args.func(args)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except MemoryError as e:  # a model within MAX_PARAMS may still not fit
         print("error: out of memory: %s" % e, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

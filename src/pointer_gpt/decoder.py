@@ -74,7 +74,8 @@ def make_step_fn(params, source_ids, source_ext_ids, oov_count, config):
             state = start
         elif keys != live:
             rows = {key: j for j, key in enumerate(live)}
-            if not all(key and key[:-1] in rows for key in keys):
+            if not keys or not all(key and key[:-1] in rows
+                                   for key in keys):
                 raise ValueError("step_fn prefixes must each extend one "
                                  "of the previous call's by one id")
             parents = [rows[key[:-1]] for key in keys]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from dataclasses import dataclass, field
 
@@ -48,9 +49,9 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
     moments = [(np.zeros_like(p.data), np.zeros_like(p.data))
                for p in tensors]
     report = TrainReport()
-    log = open(loss_log_path, "w", encoding="utf-8") if loss_log_path else None
     step = 0
-    try:
+    with (open(loss_log_path, "w", encoding="utf-8") if loss_log_path
+          else contextlib.nullcontext()) as log:
         for _epoch in range(tcfg.epochs):
             order = rng.permutation(len(dataset))
             for lo in range(0, len(order), tcfg.batch_size):
@@ -70,9 +71,6 @@ def train(params, dataset, tcfg, mcfg, loss_log_path=None):
                 report.losses.append(value)
                 if log:
                     log.write("%d\t%.6f\n" % (step, value))
-    finally:
-        if log:
-            log.close()
     # an Adam step can overflow float32 after the last loss was checked
     if not all(np.isfinite(p.data).all() for p in tensors):
         raise ValueError("training left a NaN or inf weight after step %d"

@@ -3,10 +3,10 @@
 import argparse
 import ast
 import dataclasses
+import errno
 import hashlib
 import importlib
 import inspect
-import io
 import json
 import os
 import pkgutil
@@ -14,6 +14,8 @@ import re
 import shutil
 import stat
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -893,11 +895,19 @@ def no_model_loading(monkeypatch):
     monkeypatch.setattr(cli, "_load_model", no_loading)
 
 
-def lenient_stdin(data):
-    """A text stdin over data that decodes undecodable bytes to surrogates,
-    as Python's own stdin does in UTF-8 mode."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                            errors="surrogateescape")
+def summarize_from_fd_0(model, stdin):
+    """(exit status, stdout, stderr) of `summarize --model model --input -`
+    in a child process whose fd 0 holds the bytes stdin, or is closed if
+    stdin is None."""
+    command = [sys.executable, "-m", "pointer_gpt.cli", "summarize",
+               "--model", model, "--input", "-"]
+    if stdin is None:  # the shell closes fd 0, then runs the command
+        command = ["sh", "-c", 'exec "$@" <&-', "sh"] + command
+    proc = subprocess.run(command, input=stdin, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=300)
+    return (proc.returncode, proc.stdout.decode("utf-8"),
+            proc.stderr.decode("utf-8"))
 
 
 class TestCliSummarize:
@@ -910,24 +920,30 @@ class TestCliSummarize:
         assert code == 0
         assert capsys.readouterr().out.strip() == RECORDS[0].summary
 
-    def test_stdin_input(self, trained, capsys, monkeypatch):
+    def test_stdin_input(self, trained):
         _, run, _ = trained
-        monkeypatch.setattr("sys.stdin",
-                            lenient_stdin(RECORDS[1].source.encode("utf-8")))
-        assert main(["summarize", "--model", run, "--input", "-"]) == 0
-        assert capsys.readouterr().out.strip() == RECORDS[1].summary
+        code, out, _ = summarize_from_fd_0(
+            run, RECORDS[1].source.encode("utf-8"))
+        assert code == 0
+        assert out.strip() == RECORDS[1].summary
 
-    def test_non_utf8_stdin_is_one_error_line(self, trained, capsys,
-                                              monkeypatch, no_model_loading):
-        # the bytes a file would be rejected for, whatever stdin's errors=
-        _, run, _ = trained
-        monkeypatch.setattr("sys.stdin", lenient_stdin(b"\xff\xfe"))
-        assert main(["summarize", "--model", run, "--input", "-"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == (
+    def test_non_utf8_stdin_is_one_error_line(self, tmp_path):
+        # the bytes a file would be rejected for; the model directory is
+        # missing, so the input is read before the model
+        code, out, err = summarize_from_fd_0(str(tmp_path / "missing"),
+                                             b"\xff\xfe")
+        assert code == 1
+        assert err == (
             "error: cannot read input -: 'utf-8' codec can't decode byte "
             "0xff in position 0: invalid start byte\n")
-        assert captured.out == ""
+        assert out == ""
+
+    def test_closed_stdin_is_one_error_line(self, tmp_path):
+        code, out, err = summarize_from_fd_0(str(tmp_path / "missing"), None)
+        assert code == 1
+        assert err == "error: [Errno %d] %s\n" % (errno.EBADF,
+                                                  os.strerror(errno.EBADF))
+        assert out == ""
 
     def test_non_utf8_input_file_is_named(self, trained, tmp_path, capsys,
                                           no_model_loading):
@@ -1399,21 +1415,82 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+def stdin_reads(source):
+    """Lines of source that name sys.stdin."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Attribute) and node.attr == "stdin"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys")
+            or (isinstance(node, ast.ImportFrom) and node.module == "sys"
+                and any(alias.name == "stdin" for alias in node.names))]
+
+
+def test_no_module_reads_sys_stdin():
+    # `--input -` opens fd 0 like a file: sys.stdin would be a second read
+    # path, one that is None when fd 0 is closed
+    found = {path.name: stdin_reads(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "pointer_gpt").glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_a_sys_stdin_read_is_found():
+    # mutation control for the scan above
+    source = ("import sys\nfrom sys import stdin\n"
+              "raw = sys.stdin.buffer.read()\n")
+    assert stdin_reads(source) == [2, 3]
+
+
 def readme_command_line_section():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     return re.search(r"^## Command line\n(.*?)^## ", readme,
                      re.S | re.M).group(1)
 
 
-def parser_flags():
-    """(subcommand, flag) for every option but help."""
+def parser_options():
+    """(subcommand, flag, action) for every option but help."""
     subparsers, = [a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
-    return [(command, flag)
+    return [(command, flag, action)
             for command, parser in subparsers.choices.items()
             for action in parser._actions
             if not isinstance(action, argparse._HelpAction)
             for flag in action.option_strings]
+
+
+def parser_flags():
+    """(subcommand, flag) for every option but help."""
+    return [(command, flag) for command, flag, _ in parser_options()]
+
+
+# every subcommand's flags: (required, type, default, action class)
+STORE, STORE_TRUE = "_StoreAction", "_StoreTrueAction"
+FLAGS = {
+    "train": {"--data": (True, None, None, STORE),
+              "--config": (False, None, None, STORE),
+              "--seed": (False, int, 0, STORE),
+              "--out": (True, None, None, STORE),
+              "--baseline": (False, None, False, STORE_TRUE)},
+    "summarize": {"--model": (True, None, None, STORE),
+                  "--beam": (False, int, 1, STORE),
+                  "--max-len": (False, int, 32, STORE),
+                  "--input": (True, None, None, STORE)},
+    "evaluate": {"--model": (True, None, None, STORE),
+                 "--beam": (False, int, 1, STORE),
+                 "--max-len": (False, int, 32, STORE),
+                 "--data": (True, None, None, STORE)},
+    "compare": {"--data": (True, None, None, STORE),
+                "--config": (False, None, None, STORE),
+                "--seed": (False, int, 0, STORE)},
+}
+
+
+def test_every_subcommand_has_its_flags():
+    found = {}
+    for command, flag, action in parser_options():
+        found.setdefault(command, {})[flag] = (
+            action.required, action.type, action.default,
+            type(action).__name__)
+    assert found == FLAGS
 
 
 def test_readme_documents_every_command_line_flag():

@@ -428,7 +428,7 @@ class TestIncrementalDecoding:
         first = step_fn([(7,), (8,)])
         np.testing.assert_array_equal(step_fn([(7,), (8,)]), first)
         for prefixes in ([(7, 9), (9, 9)], [(7,), (8,), (7, 9)], [(7, 9, 9)],
-                         [()] * 2, [(), (7,)]):
+                         [()] * 2, [(), (7,)], []):
             with pytest.raises(ValueError, match="extend"):
                 step_fn(prefixes)
 
@@ -509,10 +509,8 @@ class StepFnContract(RuleBasedStateMachine):
             calls.append([(self.n_ids,) * len(prefix) + (a,)])
         if len(prefix) > 1:  # one id shorter; [()] would be the restart
             calls.append([prefix[:-1]])
-        # [] passes the prefix rule and reaches forward_hidden's own check
-        with pytest.raises(ValueError, match="^(step_fn prefixes must each "
-                           "extend one of the previous call's by one id"
-                           "|empty input sequence)$"):
+        with pytest.raises(ValueError, match="^step_fn prefixes must each "
+                           "extend one of the previous call's by one id$"):
             self.step_fn(data.draw(st.sampled_from(calls)))
         self.call(self.live)
 
